@@ -82,6 +82,24 @@ cargo run -q --offline --release -p polca-cli -- \
     --rows 2 --datacenters 2 --servers 10 --jobs 2 --fleet-threads 2 \
     > /dev/null
 
+echo "== perfbench correctness gate (site workloads) =="
+# The repository benchmark pins digests of every deterministic site
+# artifact; a short run of each site workload at both benchmark seeds
+# catches an API break against perfbench/ and any change to site
+# artifact bytes. perfbench exits 0 even when a digest mismatches, so
+# the gate greps its final JSON line.
+cargo build -q --offline --release --manifest-path perfbench/Cargo.toml
+for workload in site_monitored site_observed; do
+    for seed in 17 29; do
+        bench_json="$(cargo run -q --offline --release \
+            --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | tail -n 1)"
+        grep -q '"correct": true' <<<"$bench_json" \
+            || { echo "perfbench $workload seed $seed is not correct: $bench_json"; exit 1; }
+        echo "  perfbench $workload seed $seed: correct"
+    done
+done
+
 echo "== polca-cli watch smoke test =="
 watch_out="$(scratch)"
 cargo run -q --offline --release -p polca-cli -- \

@@ -17,7 +17,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use polca::{OversubscriptionStudy, PolicyKind};
 use polca_bench::write_bench_report;
 use polca_cluster::{
-    ClusterSim, FleetConfig, FleetSim, NoopController, RowConfig, SimConfig, SimReport,
+    ClusterSim, NoopController, RowConfig, SimConfig, SimReport, SiteConfig, SiteReport, SiteSim,
 };
 use polca_obs::{BenchReport, ObsLevel, ProfCounter, Recorder};
 use polca_sim::SimTime;
@@ -46,15 +46,18 @@ fn run_row_with(recorder: Recorder) -> SimReport {
 
 /// The same half hour across a 4-row fleet (2 rows per PDU), budgets
 /// monitored.
-fn run_fleet() -> polca_cluster::FleetReport {
+fn run_fleet() -> SiteReport {
     let mut row = RowConfig::paper_inference_row();
     row.base_servers = 4;
     let config = TraceConfig::paper_mix(5, SimTime::from_mins(30.0)).scaled(0.48);
-    let mut fleet = FleetConfig::with_rows(4);
-    fleet.rows_per_pdu = 2;
-    FleetSim::new(
+    let site = SiteConfig {
+        rows_per_datacenter: 4,
+        rows_per_pdu: 2,
+        ..SiteConfig::default()
+    };
+    SiteSim::new(
         row,
-        fleet,
+        site,
         |_, _| NoopController,
         ArrivalGenerator::new(&config),
         SimTime::from_mins(30.0),

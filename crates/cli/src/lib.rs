@@ -181,6 +181,18 @@ impl Invocation {
             }),
         }
     }
+
+    /// Reads an optional option that must be a finite, non-negative
+    /// number.
+    fn get_non_negative(&self, flag: &str) -> Result<Option<f64>, CliError> {
+        match self.get_opt::<f64>(flag)? {
+            Some(v) if !(v.is_finite() && v >= 0.0) => Err(CliError::BadValue {
+                flag: flag.to_string(),
+                value: self.options[flag].clone(),
+            }),
+            v => Ok(v),
+        }
+    }
 }
 
 /// Resolves a model by (case-insensitive) name.
@@ -641,8 +653,16 @@ fn print_energy_ledger(ledger: &EnergyLedger, completed: u64, indent: &str) {
         println!(
             "{indent}  per request: {:.2} Wh facility (measured, supersedes the \
              utilization-model estimate) over {completed} completed",
+            // A non-empty ledger always yields the measured value, so
+            // the estimator inputs (utilization, row, days) go unused.
             CostModel::default()
-                .energy_per_request_wh_measured(ledger, completed)
+                .energy_per_request_wh(
+                    Some(ledger),
+                    0.0,
+                    completed,
+                    &RowConfig::paper_inference_row(),
+                    0.0
+                )
                 .unwrap_or(0.0)
         );
     }
@@ -814,22 +834,23 @@ fn parse_site_config(
     rows: usize,
     datacenters: usize,
 ) -> Result<SiteConfig, CliError> {
-    if datacenters == 0 {
-        return Err(CliError::BadValue {
-            flag: "datacenters".into(),
-            value: "0".into(),
-        });
-    }
-    if rows == 0 {
-        return Err(CliError::BadValue {
-            flag: "rows".into(),
-            value: "0".into(),
-        });
+    let rows_per_pdu = inv.get("rows-per-pdu", 2)?;
+    for (flag, n) in [
+        ("datacenters", datacenters),
+        ("rows", rows),
+        ("rows-per-pdu", rows_per_pdu),
+    ] {
+        if n == 0 {
+            return Err(CliError::BadValue {
+                flag: flag.into(),
+                value: "0".into(),
+            });
+        }
     }
     let mut site = SiteConfig {
         datacenters,
         rows_per_datacenter: rows,
-        rows_per_pdu: inv.get("rows-per-pdu", 2)?,
+        rows_per_pdu,
         enforce_budgets: inv.options.contains_key("enforce-budgets"),
         ..SiteConfig::default()
     };
@@ -839,15 +860,9 @@ fn parse_site_config(
     } else {
         threads
     };
-    if let Some(mw) = inv.get_opt::<f64>("site-budget-mw")? {
-        site.site_budget_watts = Some(mw * 1e6);
-    }
-    if let Some(pct) = inv.get_opt::<f64>("oversub-dc")? {
-        site.datacenter_oversubscription = Some(pct / 100.0);
-    }
-    if let Some(pct) = inv.get_opt::<f64>("oversub-site")? {
-        site.site_oversubscription = Some(pct / 100.0);
-    }
+    site.site_budget_watts = inv.get_non_negative("site-budget-mw")?.map(|mw| mw * 1e6);
+    site.datacenter_oversubscription = inv.get_non_negative("oversub-dc")?.map(|pct| pct / 100.0);
+    site.site_oversubscription = inv.get_non_negative("oversub-site")?.map(|pct| pct / 100.0);
     if rows > 1 && datacenters == 1 && !SITE_FLAGS.iter().any(|f| inv.options.contains_key(*f)) {
         println!(
             "note: --rows now sizes one datacenter, not the whole hierarchy; \
@@ -2039,6 +2054,37 @@ mod tests {
             parse_site_config(&inv, 0, 2),
             Err(CliError::BadValue { .. })
         ));
+        // Shapes and budgets the power tree cannot take are clean CLI
+        // errors naming the flag, never a panic.
+        for (flag, value) in [
+            ("--rows-per-pdu", "0"),
+            ("--oversub-dc", "-10"),
+            ("--oversub-dc", "inf"),
+            ("--oversub-site", "nan"),
+            ("--oversub-site", "-1"),
+            ("--site-budget-mw", "nan"),
+            ("--site-budget-mw", "-2"),
+            ("--site-budget-mw", "inf"),
+        ] {
+            let inv = parse_args(args(&[
+                "evaluate",
+                "--rows",
+                "2",
+                "--datacenters",
+                "2",
+                flag,
+                value,
+            ]))
+            .unwrap();
+            assert_eq!(
+                parse_site_config(&inv, 2, 2),
+                Err(CliError::BadValue {
+                    flag: flag[2..].into(),
+                    value: value.into(),
+                }),
+                "{flag} {value}"
+            );
+        }
     }
 
     #[test]

@@ -26,13 +26,13 @@
 //!   is factored into the resumable [`sim::RowSim`] engine, which
 //!   supports `step_until`-style incremental execution and drives
 //!   either serving engine,
-//! * [`fleet`] — [`fleet::FleetSim`]: N rows stepped in lockstep under
-//!   the per-PDU and datacenter budgets of [`hierarchy::PowerHierarchy`]
-//!   (a 1-datacenter site since the site refactor),
-//! * [`site`] — [`site::SiteSim`]: N datacenters of M rows each under a
-//!   [`hierarchy::SiteHierarchy`], stepped in lockstep telemetry
-//!   windows by an optional scoped thread pool with a deterministic
-//!   canonical-order merge at every boundary,
+//! * [`site`] — [`site::SiteSim`], the one multi-row driver: N
+//!   datacenters of M rows under a single power tree (rows → PDUs →
+//!   datacenters → site bus) with a monitored or enforced budget at
+//!   every node, stepped in lockstep telemetry windows by an optional
+//!   scoped thread pool with a deterministic canonical-order merge at
+//!   every boundary. The default [`site::SiteConfig`] is one row,
+//!   bit-identical to [`ClusterSim::run`],
 //! * [`training`] — the synchronized training-cluster power model behind
 //!   Table 4's training column.
 //!
@@ -49,8 +49,6 @@
 
 #![deny(missing_docs)]
 
-pub mod fleet;
-pub mod hierarchy;
 pub mod request;
 pub mod row;
 pub mod server;
@@ -59,15 +57,13 @@ pub mod sim;
 pub mod site;
 pub mod training;
 
-pub use fleet::{row_seed, FleetConfig, FleetReport, FleetSim};
-pub use hierarchy::{PowerHierarchy, RackLayout, SiteHierarchy};
 pub use request::{CompletedRequest, Priority, Request};
 pub use row::RowConfig;
 pub use server::{InferenceServer, ServerState, HOT_IDLE_INTENSITY};
 pub use server_spec::ServerSpec;
 pub use sim::{
     ClusterSim, ControlRequest, ControlTarget, EngineKind, NoopController, PowerController,
-    RequestSource, RowContext, RowSim, SimConfig, SimReport,
+    RowContext, RowSim, SimConfig, SimReport,
 };
-pub use site::{SiteConfig, SiteReport, SiteSim};
+pub use site::{row_seed, SiteConfig, SiteReport, SiteSim};
 pub use training::TrainingCluster;

@@ -14,8 +14,8 @@ use crate::server_spec::ServerSpec;
 /// the servers' rated draw; POLCA's oversubscription adds servers under
 /// the *same* row budget. A row is the *bottom* of the power hierarchy,
 /// not the top: rows aggregate into PDUs, PDUs into datacenters, and
-/// datacenters into a site (see [`crate::hierarchy::SiteHierarchy`] and
-/// [`crate::site::SiteSim`]), each level with its own budget knobs.
+/// datacenters into a site (see [`crate::site::SiteSim`]), each level
+/// with its own budget knobs.
 #[derive(Debug, Clone)]
 pub struct RowConfig {
     /// Servers the row was originally provisioned for.

@@ -64,27 +64,6 @@ pub struct RowContext {
     pub n_servers: usize,
 }
 
-/// A time-ordered stream of requests feeding the simulator.
-///
-/// The simulator is source-agnostic: the synthetic
-/// `polca_trace::ArrivalGenerator`, plain request vectors, and
-/// `polca-ingest`'s verbatim replay of an externally captured trace all
-/// drive [`ClusterSim::run_source`] through this trait. Every iterator
-/// of [`Request`]s is a source via the blanket impl, so generators stay
-/// lazy and replays can stream from disk.
-pub trait RequestSource {
-    /// The next request in arrival order, or `None` when the source is
-    /// exhausted. Requests must be yielded with non-decreasing
-    /// `arrival` timestamps.
-    fn next_request(&mut self) -> Option<Request>;
-}
-
-impl<I: Iterator<Item = Request>> RequestSource for I {
-    fn next_request(&mut self) -> Option<Request> {
-        self.next()
-    }
-}
-
 /// A cluster-level power-management policy.
 ///
 /// The simulator invokes the controller at every row-telemetry tick
@@ -92,10 +71,10 @@ impl<I: Iterator<Item = Request>> RequestSource for I {
 /// reading propagates. POLCA and the baseline policies implement this in
 /// the `polca` crate.
 ///
-/// Controllers must be [`Send`]: a multi-datacenter [`SiteSim`]
-/// (`crate::site`) steps its rows on a scoped thread pool, carrying
-/// each row's controller to whichever worker claims the row that
-/// window. Controllers are plain decision state (no shared interior
+/// Controllers must be [`Send`]: a multi-datacenter
+/// [`SiteSim`](crate::site::SiteSim) steps its rows on a scoped thread
+/// pool, carrying each row's controller to whichever worker claims the
+/// row that window. Controllers are plain decision state (no shared interior
 /// mutability), so this is not a restriction in practice.
 pub trait PowerController: Send {
     /// Reacts to a telemetry tick, returning control requests to issue
@@ -487,25 +466,18 @@ impl<P: PowerController> ClusterSim<P> {
     /// arrival time) until `until`, consuming the simulator and
     /// returning the report.
     ///
+    /// The simulator is source-agnostic: the synthetic
+    /// `polca_trace::ArrivalGenerator`, plain request vectors, and
+    /// `polca-ingest`'s verbatim replay of a captured trace all drive
+    /// it, lazily. Internally this is one [`RowSim`] stepped straight
+    /// to the horizon, so the resumable and one-shot paths are the
+    /// same code and produce bit-identical results.
+    ///
     /// # Panics
     ///
     /// Panics if `arrivals` yields requests out of order.
     pub fn run(self, arrivals: impl IntoIterator<Item = Request>, until: SimTime) -> SimReport {
-        self.run_source(arrivals.into_iter(), until)
-    }
-
-    /// Like [`run`](Self::run) but consumes any [`RequestSource`] — the
-    /// entry point the real-trace replay path uses.
-    ///
-    /// Internally this is one [`RowSim`] stepped straight to the
-    /// horizon; the resumable engine and this one-shot entry point are
-    /// the same code and produce bit-identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields requests out of order.
-    pub fn run_source(self, arrivals: impl RequestSource, until: SimTime) -> SimReport {
-        let mut row = self.into_row_sim(arrivals, until);
+        let mut row = self.into_row_sim(arrivals.into_iter(), until);
         row.step_until(until);
         row.finish()
     }
@@ -513,8 +485,12 @@ impl<P: PowerController> ClusterSim<P> {
     /// Converts this simulator into a resumable [`RowSim`] driven by
     /// `arrivals` up to `horizon`. The engine primes the first arrival
     /// and the t = 0 telemetry tick immediately, exactly as
-    /// [`run_source`](Self::run_source) would.
-    pub fn into_row_sim<S: RequestSource>(self, arrivals: S, horizon: SimTime) -> RowSim<P, S> {
+    /// [`run`](Self::run) does.
+    pub fn into_row_sim<S: Iterator<Item = Request>>(
+        self,
+        arrivals: S,
+        horizon: SimTime,
+    ) -> RowSim<P, S> {
         RowSim::start(self, arrivals, horizon)
     }
 
@@ -1033,19 +1009,19 @@ impl<P: PowerController> ClusterSim<P> {
     }
 }
 
-/// A resumable row engine: the body of [`ClusterSim::run_source`]
-/// exposed as an incremental `step_until` API.
+/// A resumable row engine: the body of [`ClusterSim::run`] exposed as
+/// an incremental `step_until` API.
 ///
 /// A `RowSim` owns one row's complete simulation state — servers, event
 /// queue, OOB control plane, delayed telemetry signal, RNG streams —
 /// and advances it in bounded time slices instead of straight to the
-/// horizon. That is what lets `FleetSim` interleave N rows in lockstep
-/// (stepping each row one telemetry window at a time and inspecting
-/// aggregate power between windows) while each row replays *exactly*
-/// the event sequence it would have seen in a solo
-/// [`ClusterSim::run`]: stepping to `t1` then `t2` processes the same
-/// events in the same order as stepping to `t2` directly, so the
-/// resumable and one-shot paths are bit-identical.
+/// horizon. That is what lets [`SiteSim`](crate::site::SiteSim)
+/// interleave N rows in lockstep (stepping each row one telemetry
+/// window at a time and inspecting aggregate power between windows)
+/// while each row replays *exactly* the event sequence it would have
+/// seen in a solo [`ClusterSim::run`]: stepping to `t1` then `t2`
+/// processes the same events in the same order as stepping to `t2`
+/// directly, so the resumable and one-shot paths are bit-identical.
 ///
 /// The horizon is fixed at construction because it is part of the
 /// event schedule itself (the last telemetry tick is the one at or
@@ -1061,19 +1037,7 @@ pub struct RowSim<P, S> {
     _span: Option<SpanGuard>,
 }
 
-impl<P: PowerController, S: RequestSource> RowSim<P, S> {
-    /// Builds a row engine directly from a row description, mirroring
-    /// [`ClusterSim::new`] + [`ClusterSim::into_row_sim`].
-    pub fn new(
-        row: RowConfig,
-        config: SimConfig,
-        controller: P,
-        source: S,
-        horizon: SimTime,
-    ) -> Self {
-        ClusterSim::new(row, config, controller).into_row_sim(source, horizon)
-    }
-
+impl<P: PowerController, S: Iterator<Item = Request>> RowSim<P, S> {
     fn start(sim: ClusterSim<P>, source: S, horizon: SimTime) -> Self {
         let span = sim.obs.time("sim.event_loop");
         let mut row = RowSim {
@@ -1083,7 +1047,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
             stepped_to: SimTime::ZERO,
             _span: span,
         };
-        if let Some(first) = row.source.next_request() {
+        if let Some(first) = row.source.next() {
             row.sim.queue.schedule(first.arrival, Ev::Arrival(first));
         }
         row.sim.queue.schedule(SimTime::ZERO, Ev::Telemetry);
@@ -1115,7 +1079,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
                 Ev::Arrival(req) => {
                     let _p = prof.time(Phase::Dispatch);
                     self.sim.on_arrival(now, req);
-                    if let Some(next) = self.source.next_request() {
+                    if let Some(next) = self.source.next() {
                         assert!(
                             next.arrival >= now,
                             "arrival stream out of order at request {}",
@@ -1482,13 +1446,8 @@ mod tests {
         let reqs = mixed_requests();
         let one_shot = ClusterSim::new(small_row(), SimConfig::default(), NoopController)
             .run(reqs.clone(), t(1000.0));
-        let mut row = RowSim::new(
-            small_row(),
-            SimConfig::default(),
-            NoopController,
-            reqs.into_iter(),
-            t(1000.0),
-        );
+        let mut row = ClusterSim::new(small_row(), SimConfig::default(), NoopController)
+            .into_row_sim(reqs.into_iter(), t(1000.0));
         // Irregular slice boundaries, including repeats and off-grid times.
         for s in [0.0, 1.0, 1.0, 3.7, 250.0, 250.0, 999.9, 1500.0] {
             row.step_until(t(s));
@@ -1507,13 +1466,8 @@ mod tests {
 
     #[test]
     fn rowsim_exposes_progress_and_state() {
-        let mut row = RowSim::new(
-            small_row(),
-            SimConfig::default(),
-            NoopController,
-            std::iter::empty(),
-            t(100.0),
-        );
+        let mut row = ClusterSim::new(small_row(), SimConfig::default(), NoopController)
+            .into_row_sim(std::iter::empty(), t(100.0));
         assert_eq!(row.horizon(), t(100.0));
         assert_eq!(row.servers().len(), 4);
         assert!(row.context().provisioned_watts > 0.0);
@@ -1530,13 +1484,8 @@ mod tests {
         let reqs = mixed_requests();
         let free = ClusterSim::new(small_row(), SimConfig::default(), NoopController)
             .run(reqs.clone(), t(1000.0));
-        let mut row = RowSim::new(
-            small_row(),
-            SimConfig::default(),
-            NoopController,
-            reqs.into_iter(),
-            t(1000.0),
-        );
+        let mut row = ClusterSim::new(small_row(), SimConfig::default(), NoopController)
+            .into_row_sim(reqs.into_iter(), t(1000.0));
         row.step_until(t(10.0));
         row.inject(
             t(10.0),

@@ -1,36 +1,52 @@
-//! Multi-datacenter site simulation with deterministic parallel row
-//! execution.
+//! Site simulation: N datacenters of M rows under one power tree, with
+//! deterministic parallel row execution.
 //!
-//! [`SiteSim`] generalizes the single-datacenter fleet to the scale the
-//! provisioning literature targets (~25+ datacenters behind one
-//! substation): N datacenters of M rows each under a
-//! [`SiteHierarchy`], with budget monitoring — and optional active
-//! enforcement — at the PDU, datacenter, *and* site level.
+//! [`SiteSim`] is the only multi-row driver. It composes resumable
+//! [`RowSim`] engines into the power hierarchy of Figure 2 — rows
+//! behind PDUs, PDUs inside datacenters, datacenters on one site bus
+//! (a utility substation in the ~25+ datacenter deployments the
+//! provisioning literature targets) — and monitors, and optionally
+//! enforces, a budget at every PDU, every datacenter and the site.
+//! A default [`SiteConfig`] is one row under one PDU, which replays
+//! the single-row [`ClusterSim`] path bit for bit.
+//!
+//! # The power tree
+//!
+//! `PowerTree` is built once from the [`SiteConfig`] fields: a list of
+//! three levels (PDU, datacenter, site), each a list of nodes, each
+//! node a contiguous range of *global* row indices plus its resolved
+//! budget. A budget is the absolute override if set, else
+//! `provisioned / (1 + f)` for an oversubscription fraction `f`, else
+//! the provisioned power of the rows beneath. Datacenter `d` owns rows
+//! `d * rows_per_datacenter ..`; PDU indices are global too and the
+//! last PDU of a datacenter may feed fewer rows. PDU and datacenter
+//! power sum their rows in row order; site power sums the datacenter
+//! sums.
 //!
 //! # Window/merge protocol
 //!
-//! Rows are resumable [`RowSim`] engines with fully independent state:
-//! their own event queue, RNG stream ([`row_seed`]), recorder cell,
-//! and OOB control plane. The site steps them in lockstep telemetry
-//! windows:
+//! Rows have fully independent state: their own event queue, RNG
+//! stream ([`row_seed`]), recorder cell, and OOB control plane. The
+//! site steps them in lockstep telemetry windows:
 //!
-//! 1. **Plan.** From the cached next-event time of every row, build
-//!    the window's work deque: only rows with an event due at or
-//!    before the boundary are listed (an idle row costs nothing — see
-//!    `ProfCounter::FleetRowsSkipped`).
-//! 2. **Step.** Workers on a scoped thread pool claim due rows off an
-//!    atomic cursor and run `step_until(boundary)`. Rows share no
-//!    mutable state, so any claim order yields the same per-row
-//!    result; with `threads == 1` the main thread just walks the
-//!    deque in order.
-//! 3. **Merge** (`fleet.merge` phase). After a barrier, the main
-//!    thread alone refreshes the per-row caches (next event time,
-//!    instantaneous power) in canonical row order.
-//! 4. **Observe** (`fleet.power_aggregation` / `site.aggregate`
-//!    phases). Still single-threaded, aggregate row power up the
-//!    hierarchy, record gauges and violation events in canonical
-//!    order, and evaluate enforcement; brake commands are injected
-//!    back into the affected rows' queues before the next window.
+//! 1. **Plan.** From the cached next-event time of every row, list the
+//!    rows with an event due at or before the boundary (an idle row
+//!    costs nothing — see `ProfCounter::FleetRowsSkipped`).
+//! 2. **Step.** Run `step_until(boundary)` on each due row. With one
+//!    thread the main thread walks the list in order; with more,
+//!    workers on a scoped pool claim rows off an atomic cursor. Rows
+//!    share no mutable state, so any claim order yields the same
+//!    per-row result. This is the only step that depends on the
+//!    thread count.
+//! 3. **Merge** (`fleet.merge` phase). The main thread refreshes the
+//!    per-row caches (next event time, instantaneous power) in
+//!    canonical row order.
+//! 4. **Observe** (`fleet.power_aggregation` phase, plus
+//!    `site.aggregate` for the site level). Still single-threaded,
+//!    walk the power tree level by level: record gauges and violation
+//!    events in node order and run each node's brake hysteresis; brake
+//!    commands are injected into the affected rows' queues before the
+//!    next window.
 //!
 //! # Determinism argument
 //!
@@ -40,51 +56,60 @@
 //! row's private recorder, and a row's trajectory over a window is a
 //! pure function of its state at the previous boundary (plus injected
 //! commands, which are decided in step 4 from merged state only). So
-//! `threads = 1` and `threads = K` produce byte-identical artifacts,
-//! and a 1-datacenter site is bit-identical to the historical
-//! single-datacenter `FleetSim` — both are pinned by proptests in
-//! `tests/site_sim.rs`.
+//! `threads = 1` and `threads = K` produce byte-identical artifacts;
+//! `tests/site_sim.rs` pins this with proptests.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 use polca_obs::{Event, Label, Phase, ProfCounter, Recorder};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
-use crate::fleet::row_seed;
-use crate::hierarchy::SiteHierarchy;
 use crate::request::{Priority, Request};
 use crate::row::RowConfig;
 use crate::sim::{
-    ClusterSim, ControlRequest, ControlTarget, PowerController, RequestSource, RowSim, SimConfig,
-    SimReport,
+    ClusterSim, ControlRequest, ControlTarget, PowerController, RowSim, SimConfig, SimReport,
 };
 
 /// Aggregate power must fall below this fraction of a budget before an
 /// enforcement brake releases (hysteresis against brake/unbrake limit
 /// cycles at the breaker threshold). Shared by every hierarchy level.
-pub(crate) const RELEASE_FRACTION: f64 = 0.95;
+const RELEASE_FRACTION: f64 = 0.95;
+
+/// Derives the seed for site row `row` from the site seed.
+///
+/// The mix is a splitmix64-style finalizer over the row index with no
+/// additive constants, so `row_seed(seed, 0) == seed` — the first row
+/// of a site replays exactly the RNG streams of a single-row run with
+/// the same seed — while distinct rows land on well-separated streams.
+pub fn row_seed(site_seed: u64, row: usize) -> u64 {
+    let mut x = (row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    site_seed ^ x
+}
 
 /// Each row consumes its pre-split share of the arrival stream: an
 /// owned iterator, so rows can step on worker threads without sharing
 /// a dispatcher.
 type RowFeed = std::vec::IntoIter<Request>;
 
-/// One row engine driving its owned feed.
-type RowEngine<P> = RowSim<P, RowFeed>;
+/// One row engine driving its owned feed, behind the lock that lets
+/// pool workers claim it.
+type RowCell<P> = Mutex<RowSim<P, RowFeed>>;
 
 /// Splits `source` across `n` rows by strict round-robin: request `k`
-/// goes to row `k % n`, preserving per-row arrival order. This is
-/// exactly the stream the historical lazy shared dispatcher handed
-/// each row, but materialized up front so feeds are independent.
-fn split_round_robin<S: RequestSource>(mut source: S, n: usize) -> Vec<RowFeed> {
+/// goes to row `k % n`, preserving per-row arrival order, so a 1-row
+/// site feeds its single row the unmodified stream.
+fn split_round_robin(source: impl Iterator<Item = Request>, n: usize) -> Vec<RowFeed> {
     let mut buckets: Vec<Vec<Request>> = (0..n).map(|_| Vec::new()).collect();
-    let mut next = 0;
-    while let Some(req) = source.next_request() {
-        buckets[next].push(req);
-        next = (next + 1) % n;
+    for (k, req) in source.enumerate() {
+        buckets[k % n].push(req);
     }
     buckets.into_iter().map(Vec::into_iter).collect()
 }
@@ -97,10 +122,16 @@ fn brake_request(on: bool) -> ControlRequest {
     }
 }
 
+/// Locks a row engine. The lock is poisoned only if a worker panicked
+/// mid-step, which leaves the row's state unusable.
+fn lock<P>(cell: &RowCell<P>) -> MutexGuard<'_, RowSim<P, RowFeed>> {
+    cell.lock().expect("row engine poisoned")
+}
+
 /// Site-level simulator knobs, wrapping the per-row [`SimConfig`].
 ///
 /// A default config is a 1-datacenter, 1-row, single-threaded site —
-/// the degenerate case that reproduces the legacy paths bit for bit.
+/// the degenerate case that reproduces the single-row path bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteConfig {
     /// Number of datacenters on the site bus.
@@ -126,7 +157,7 @@ pub struct SiteConfig {
     pub site_oversubscription: Option<f64>,
     /// When `true`, actively engage the power brake on every row
     /// behind an overloaded PDU, datacenter, or site (release
-    /// hysteresis at [`RELEASE_FRACTION`]); when `false` (default)
+    /// hysteresis at 95 % of the budget); when `false` (default)
     /// budgets are monitored only.
     pub enforce_budgets: bool,
     /// Worker threads for parallel row stepping (clamped to the row
@@ -163,41 +194,11 @@ impl SiteConfig {
     /// Whether this config engages the site level at all: more than
     /// one datacenter, or an explicit site budget/oversubscription.
     /// When inactive, no site-scoped gauges or events are emitted and
-    /// the run is bit-identical to the single-datacenter fleet path.
+    /// the datacenter series stay unpartitioned.
     pub fn site_active(&self) -> bool {
         self.datacenters > 1
             || self.site_budget_watts.is_some()
             || self.site_oversubscription.is_some()
-    }
-
-    /// Builds the [`SiteHierarchy`] this config describes for a row
-    /// provisioned at `row_provisioned_watts`.
-    pub fn hierarchy(&self, row_provisioned_watts: f64) -> SiteHierarchy {
-        let mut h = SiteHierarchy::uniform(
-            self.datacenters,
-            self.rows_per_datacenter,
-            self.rows_per_pdu,
-            row_provisioned_watts,
-        );
-        if let Some(f) = self.pdu_oversubscription {
-            h = h.with_pdu_oversubscription(f);
-        }
-        if let Some(f) = self.datacenter_oversubscription {
-            h = h.with_datacenter_oversubscription(f);
-        }
-        if let Some(f) = self.site_oversubscription {
-            h = h.with_site_oversubscription(f);
-        }
-        if let Some(w) = self.pdu_budget_watts {
-            h = h.with_pdu_budget(w);
-        }
-        if let Some(w) = self.datacenter_budget_watts {
-            h = h.with_datacenter_budget(w);
-        }
-        if let Some(w) = self.site_budget_watts {
-            h = h.with_site_budget(w);
-        }
-        h
     }
 }
 
@@ -291,71 +292,214 @@ impl SiteReport {
     }
 }
 
-/// Boundary-time monitor state: hierarchy roll-up, peaks, violation
-/// counters, and per-level brake hysteresis. Only ever touched by the
-/// main thread, between windows.
+/// Level indices into [`PowerTree::levels`].
+const PDU: usize = 0;
+const DATACENTER: usize = 1;
+const SITE: usize = 2;
+
+/// One breaker of the power tree.
+#[derive(Debug, Clone, PartialEq)]
+struct PowerNode {
+    /// The contiguous global rows it feeds.
+    rows: Range<usize>,
+    /// The resolved budget in watts.
+    budget_watts: f64,
+    /// The label of its metric series.
+    label: Label,
+}
+
+/// One level of the power tree and the names it reports under.
+#[derive(Debug, Clone, PartialEq)]
+struct Level {
+    /// `BudgetViolation` scope of this level's events.
+    scope: &'static str,
+    power_gauge: &'static str,
+    violation_counter: &'static str,
+    brake_counter: &'static str,
+    /// Whether the level emits metrics and events and enforces its
+    /// budget. Peaks are tracked either way.
+    active: bool,
+    nodes: Vec<PowerNode>,
+}
+
+/// The site's power hierarchy: PDU, datacenter and site levels over
+/// global row indices (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq)]
+struct PowerTree {
+    levels: [Level; 3],
+}
+
+/// A budget: the absolute override if set, else `provisioned / (1 + f)`
+/// for an oversubscription fraction `f`, else `provisioned`.
+fn resolve_budget(provisioned: f64, absolute: Option<f64>, oversubscription: Option<f64>) -> f64 {
+    if let Some(f) = oversubscription {
+        assert!(f >= 0.0, "oversubscription fraction must be non-negative");
+    }
+    absolute.unwrap_or_else(|| oversubscription.map_or(provisioned, |f| provisioned / (1.0 + f)))
+}
+
+impl PowerTree {
+    /// Builds the tree `site` describes for rows provisioned at
+    /// `row_watts` each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any shape count is zero or an oversubscription
+    /// fraction is negative or NaN.
+    fn new(site: &SiteConfig, row_watts: f64) -> Self {
+        assert!(site.datacenters > 0, "a site needs at least one datacenter");
+        assert!(
+            site.rows_per_datacenter > 0,
+            "a datacenter needs at least one row"
+        );
+        assert!(site.rows_per_pdu > 0, "a PDU must feed at least one row");
+        let per_dc = site.rows_per_datacenter;
+        let dc_provisioned = per_dc as f64 * row_watts;
+        let mut pdus = Vec::new();
+        let mut dcs = Vec::new();
+        for d in 0..site.datacenters {
+            let dc_rows = d * per_dc..(d + 1) * per_dc;
+            for start in dc_rows.clone().step_by(site.rows_per_pdu) {
+                let rows = start..(start + site.rows_per_pdu).min(dc_rows.end);
+                pdus.push(PowerNode {
+                    budget_watts: resolve_budget(
+                        rows.len() as f64 * row_watts,
+                        site.pdu_budget_watts,
+                        site.pdu_oversubscription,
+                    ),
+                    label: Label::Pdu(pdus.len()),
+                    rows,
+                });
+            }
+            // A 1-datacenter site keeps the unpartitioned series.
+            let label = if site.datacenters == 1 {
+                Label::Global
+            } else {
+                Label::Datacenter(d)
+            };
+            dcs.push(PowerNode {
+                rows: dc_rows,
+                budget_watts: resolve_budget(
+                    dc_provisioned,
+                    site.datacenter_budget_watts,
+                    site.datacenter_oversubscription,
+                ),
+                label,
+            });
+        }
+        let bus = PowerNode {
+            rows: 0..site.datacenters * per_dc,
+            budget_watts: resolve_budget(
+                site.datacenters as f64 * dc_provisioned,
+                site.site_budget_watts,
+                site.site_oversubscription,
+            ),
+            label: Label::Global,
+        };
+        PowerTree {
+            levels: [
+                Level {
+                    scope: "pdu",
+                    power_gauge: "fleet.pdu_power_w",
+                    violation_counter: "fleet.pdu_violations",
+                    brake_counter: "fleet.brake_engagements",
+                    active: true,
+                    nodes: pdus,
+                },
+                Level {
+                    scope: "datacenter",
+                    power_gauge: "fleet.datacenter_power_w",
+                    violation_counter: "fleet.datacenter_violations",
+                    brake_counter: "fleet.brake_engagements",
+                    active: true,
+                    nodes: dcs,
+                },
+                Level {
+                    scope: "site",
+                    power_gauge: "site.power_w",
+                    violation_counter: "site.budget_violations",
+                    brake_counter: "site.brake_engagements",
+                    active: site.site_active(),
+                    nodes: vec![bus],
+                },
+            ],
+        }
+    }
+
+    /// Total rows under the site bus.
+    fn n_rows(&self) -> usize {
+        self.levels[SITE].nodes[0].rows.end
+    }
+
+    /// The index of the node at `level` that feeds `row`.
+    fn node_of(&self, level: usize, row: usize) -> usize {
+        self.levels[level]
+            .nodes
+            .partition_point(|n| n.rows.end <= row)
+    }
+
+    /// Per-level node powers for the given per-row powers: PDU and
+    /// datacenter nodes sum their rows in row order, the site node sums
+    /// the datacenter sums.
+    fn aggregate(&self, row_watts: &[f64]) -> [Vec<f64>; 3] {
+        let sum_rows = |level: usize| -> Vec<f64> {
+            self.levels[level]
+                .nodes
+                .iter()
+                .map(|n| n.rows.clone().fold(0.0, |acc, r| acc + row_watts[r]))
+                .collect()
+        };
+        let dcs = sum_rows(DATACENTER);
+        let site = vec![dcs.iter().sum()];
+        [sum_rows(PDU), dcs, site]
+    }
+}
+
+/// Per-level monitor state, parallel to [`Level::nodes`].
+struct LevelState {
+    peak: Vec<f64>,
+    braked: Vec<bool>,
+    /// Boundary samples at which some node of the level was over
+    /// budget.
+    violation_samples: u64,
+}
+
+/// Boundary-time monitor: tree roll-up, peaks, violation counters, and
+/// per-node brake hysteresis. Only ever touched by the main thread,
+/// between windows.
 struct SiteMonitor {
     obs: Recorder,
-    hierarchy: SiteHierarchy,
+    tree: PowerTree,
     enforce: bool,
-    site_active: bool,
-    pdu_braked: Vec<bool>,
-    dc_braked: Vec<bool>,
-    site_braked: bool,
+    state: [LevelState; 3],
     /// The brake state actually applied to each row (the OR of the
-    /// levels above it, tracked explicitly so overlapping engagements
+    /// nodes above it, tracked explicitly so overlapping engagements
     /// release correctly).
     row_braked: Vec<bool>,
-    pdu_peak: Vec<f64>,
-    dc_peak: Vec<f64>,
-    site_peak: f64,
-    pdu_violations: u64,
-    dc_violations: u64,
-    site_violations: u64,
     brakes: u64,
 }
 
 impl SiteMonitor {
-    fn new(obs: Recorder, hierarchy: SiteHierarchy, enforce: bool, site_active: bool) -> Self {
-        let (n_rows, n_pdus, n_dcs) = (
-            hierarchy.n_rows(),
-            hierarchy.n_pdus(),
-            hierarchy.n_datacenters(),
-        );
+    fn new(obs: Recorder, tree: PowerTree, enforce: bool) -> Self {
+        let state = tree.levels.each_ref().map(|level| LevelState {
+            peak: vec![0.0; level.nodes.len()],
+            braked: vec![false; level.nodes.len()],
+            violation_samples: 0,
+        });
         SiteMonitor {
             obs,
-            hierarchy,
+            row_braked: vec![false; tree.n_rows()],
+            tree,
             enforce,
-            site_active,
-            pdu_braked: vec![false; n_pdus],
-            dc_braked: vec![false; n_dcs],
-            site_braked: false,
-            row_braked: vec![false; n_rows],
-            pdu_peak: vec![0.0; n_pdus],
-            dc_peak: vec![0.0; n_dcs],
-            site_peak: 0.0,
-            pdu_violations: 0,
-            dc_violations: 0,
-            site_violations: 0,
+            state,
             brakes: 0,
         }
     }
 
-    /// Datacenter metric label: a 1-datacenter site keeps the legacy
-    /// unpartitioned series so its artifacts match the historical
-    /// fleet byte for byte.
-    fn dc_label(&self, d: usize) -> Label {
-        if self.hierarchy.n_datacenters() == 1 {
-            Label::Global
-        } else {
-            Label::Datacenter(d)
-        }
-    }
-
     /// Aggregates ground-truth power at a window boundary: records
-    /// site metrics/events, tracks peaks and violations, and (in
+    /// metrics/events, tracks peaks and violations, and (in
     /// enforcement mode) decides per-row brake toggles, returned in
-    /// canonical row order for the caller to inject.
+    /// decision order for the caller to inject.
     fn observe(&mut self, now: SimTime, row_watts: &[f64], stepped: usize) -> Vec<(usize, bool)> {
         let _p = self.obs.prof().time(Phase::PowerAggregation);
         self.obs.prof().count(ProfCounter::FleetWindows, 1);
@@ -376,155 +520,77 @@ impl SiteMonitor {
                 watts: w,
             });
         }
-        let pdu_powers = self.hierarchy.pdu_powers(row_watts);
-        let mut any_pdu_violation = false;
-        for (pdu, &w) in pdu_powers.iter().enumerate() {
-            let budget = self.hierarchy.pdu_budget_watts(pdu);
-            self.obs.gauge("fleet.pdu_power_w", Label::Pdu(pdu), w);
-            if w > self.pdu_peak[pdu] {
-                self.pdu_peak[pdu] = w;
+        for (level, powers) in self.tree.aggregate(row_watts).iter().enumerate() {
+            let active = self.tree.levels[level].active;
+            let _site_phase = if active && level == SITE {
+                self.obs.prof().time(Phase::SiteAggregation)
+            } else {
+                None
+            };
+            let mut violated = false;
+            for (node, &w) in powers.iter().enumerate() {
+                let peak = &mut self.state[level].peak[node];
+                if w > *peak {
+                    *peak = w;
+                }
+                if !active {
+                    continue;
+                }
+                let lvl = &self.tree.levels[level];
+                let (budget, label) = (lvl.nodes[node].budget_watts, lvl.nodes[node].label);
+                self.obs.gauge(lvl.power_gauge, label, w);
+                if w > budget {
+                    violated = true;
+                    self.obs.add(lvl.violation_counter, label, 1);
+                    self.obs.record(Event::BudgetViolation {
+                        t,
+                        scope: lvl.scope,
+                        unit: node,
+                        watts: w,
+                        budget_watts: budget,
+                    });
+                }
+                if self.enforce {
+                    self.hysteresis(level, node, w, &mut toggles);
+                }
             }
-            if w > budget {
-                any_pdu_violation = true;
-                self.obs.add("fleet.pdu_violations", Label::Pdu(pdu), 1);
-                self.obs.record(Event::BudgetViolation {
-                    t,
-                    scope: "pdu",
-                    unit: pdu,
-                    watts: w,
-                    budget_watts: budget,
-                });
-            }
-            if self.enforce {
-                self.enforce_pdu(pdu, w, budget, &mut toggles);
-            }
-        }
-        if any_pdu_violation {
-            self.pdu_violations += 1;
-        }
-        let dc_powers = self.hierarchy.datacenter_powers(row_watts);
-        let dc_budget = self.hierarchy.datacenter_budget_watts();
-        let _site_phase = if self.site_active {
-            self.obs.prof().time(Phase::SiteAggregation)
-        } else {
-            None
-        };
-        let mut any_dc_violation = false;
-        for (d, &w) in dc_powers.iter().enumerate() {
-            let label = self.dc_label(d);
-            self.obs.gauge("fleet.datacenter_power_w", label, w);
-            if w > self.dc_peak[d] {
-                self.dc_peak[d] = w;
-            }
-            if w > dc_budget {
-                any_dc_violation = true;
-                self.obs.add("fleet.datacenter_violations", label, 1);
-                self.obs.record(Event::BudgetViolation {
-                    t,
-                    scope: "datacenter",
-                    unit: d,
-                    watts: w,
-                    budget_watts: dc_budget,
-                });
-            }
-            if self.enforce {
-                self.enforce_datacenter(d, w, dc_budget, &mut toggles);
-            }
-        }
-        if any_dc_violation {
-            self.dc_violations += 1;
-        }
-        let site_w: f64 = dc_powers.iter().sum();
-        if site_w > self.site_peak {
-            self.site_peak = site_w;
-        }
-        if self.site_active {
-            let site_budget = self.hierarchy.site_budget_watts();
-            self.obs.gauge("site.power_w", Label::Global, site_w);
-            if site_w > site_budget {
-                self.site_violations += 1;
-                self.obs.add("site.budget_violations", Label::Global, 1);
-                self.obs.record(Event::BudgetViolation {
-                    t,
-                    scope: "site",
-                    unit: 0,
-                    watts: site_w,
-                    budget_watts: site_budget,
-                });
-            }
-            if self.enforce {
-                self.enforce_site(site_w, site_budget, &mut toggles);
+            if violated {
+                self.state[level].violation_samples += 1;
             }
         }
         toggles
     }
 
-    /// PDU-scoped brake with hysteresis: engage above budget, release
-    /// below [`RELEASE_FRACTION`] of it.
-    fn enforce_pdu(
+    /// Brake hysteresis of one node: engage above budget, release below
+    /// [`RELEASE_FRACTION`] of it. A toggle is emitted only when a
+    /// member row's *applied* state changes, so a release at one level
+    /// never lifts a brake another level still requires.
+    fn hysteresis(
         &mut self,
-        pdu: usize,
+        level: usize,
+        node: usize,
         watts: f64,
-        budget: f64,
         toggles: &mut Vec<(usize, bool)>,
     ) {
-        let engage = watts > budget && !self.pdu_braked[pdu];
-        let release = self.pdu_braked[pdu] && watts < budget * RELEASE_FRACTION;
+        let PowerNode {
+            rows,
+            budget_watts,
+            label,
+        } = self.tree.levels[level].nodes[node].clone();
+        let braked = self.state[level].braked[node];
+        let engage = watts > budget_watts && !braked;
+        let release = braked && watts < budget_watts * RELEASE_FRACTION;
         if !(engage || release) {
             return;
         }
-        self.pdu_braked[pdu] = engage;
+        self.state[level].braked[node] = engage;
         if engage {
             self.brakes += 1;
-            self.obs.add("fleet.brake_engagements", Label::Pdu(pdu), 1);
+            self.obs
+                .add(self.tree.levels[level].brake_counter, label, 1);
         }
-        self.toggle_rows(self.hierarchy.rows_in_pdu(pdu), engage, toggles);
-    }
-
-    /// Datacenter-scoped brake across every row of the datacenter.
-    fn enforce_datacenter(
-        &mut self,
-        d: usize,
-        watts: f64,
-        budget: f64,
-        toggles: &mut Vec<(usize, bool)>,
-    ) {
-        let engage = watts > budget && !self.dc_braked[d];
-        let release = self.dc_braked[d] && watts < budget * RELEASE_FRACTION;
-        if !(engage || release) {
-            return;
-        }
-        self.dc_braked[d] = engage;
-        if engage {
-            self.brakes += 1;
-            let label = self.dc_label(d);
-            self.obs.add("fleet.brake_engagements", label, 1);
-        }
-        self.toggle_rows(self.hierarchy.rows_in_datacenter(d), engage, toggles);
-    }
-
-    /// Site-scoped brake across every row on the bus.
-    fn enforce_site(&mut self, watts: f64, budget: f64, toggles: &mut Vec<(usize, bool)>) {
-        let engage = watts > budget && !self.site_braked;
-        let release = self.site_braked && watts < budget * RELEASE_FRACTION;
-        if !(engage || release) {
-            return;
-        }
-        self.site_braked = engage;
-        if engage {
-            self.brakes += 1;
-            self.obs.add("site.brake_engagements", Label::Global, 1);
-        }
-        self.toggle_rows(0..self.hierarchy.n_rows(), engage, toggles);
-    }
-
-    /// Applies a level's engage/release decision to its member rows,
-    /// emitting a toggle only when the row's *applied* state changes: a
-    /// release at one level never lifts a brake another level still
-    /// requires.
-    fn toggle_rows(&mut self, rows: Range<usize>, on: bool, toggles: &mut Vec<(usize, bool)>) {
         for row in rows {
-            if on {
+            if engage {
                 if !self.row_braked[row] {
                     self.row_braked[row] = true;
                     toggles.push((row, true));
@@ -536,11 +602,49 @@ impl SiteMonitor {
         }
     }
 
-    /// Whether any hierarchy level above `row` currently holds a brake.
+    /// Whether any node above `row` currently holds a brake.
     fn any_level_braking(&self, row: usize) -> bool {
-        self.pdu_braked[self.hierarchy.pdu_of(row)]
-            || self.dc_braked[self.hierarchy.datacenter_of(row)]
-            || self.site_braked
+        (0..self.state.len()).any(|level| self.state[level].braked[self.tree.node_of(level, row)])
+    }
+
+    /// The window loop: plan, step (`step(boundary, due_rows)`, the only
+    /// part that depends on the thread count), merge, observe, inject.
+    fn run_windows<P: PowerController>(
+        &mut self,
+        cells: &[RowCell<P>],
+        window: SimTime,
+        horizon: SimTime,
+        mut step: impl FnMut(SimTime, &[usize]),
+    ) {
+        let n = cells.len();
+        let mut next_at: Vec<Option<SimTime>> =
+            cells.iter().map(|c| lock(c).next_event_time()).collect();
+        let mut row_watts: Vec<f64> = cells.iter().map(|c| lock(c).row_power_watts()).collect();
+        let mut due: Vec<usize> = Vec::with_capacity(n);
+        let mut t = SimTime::ZERO;
+        loop {
+            let target = (t + window).min(horizon);
+            due.clear();
+            due.extend((0..n).filter(|&i| next_at[i].is_some_and(|at| at <= target)));
+            step(target, &due);
+            {
+                let _m = self.obs.prof().time(Phase::FleetMerge);
+                for &i in &due {
+                    let row = lock(&cells[i]);
+                    next_at[i] = row.next_event_time();
+                    row_watts[i] = row.row_power_watts();
+                }
+            }
+            t = target;
+            for (row, on) in self.observe(t, &row_watts, due.len()) {
+                let mut r = lock(&cells[row]);
+                r.inject(t, brake_request(on));
+                next_at[row] = r.next_event_time();
+            }
+            if t >= horizon {
+                break;
+            }
+        }
     }
 }
 
@@ -554,7 +658,7 @@ struct WindowPlan {
 /// Claims due rows off the shared cursor and steps each to the window
 /// boundary. Runs on every pool thread, main included.
 fn drain_due<P: PowerController>(
-    cells: &[Mutex<RowEngine<P>>],
+    cells: &[RowCell<P>],
     plan: &Mutex<WindowPlan>,
     cursor: &AtomicUsize,
 ) {
@@ -567,24 +671,22 @@ fn drain_due<P: PowerController>(
                 None => break,
             }
         };
-        cells[row]
-            .lock()
-            .expect("row engine poisoned")
-            .step_until(target);
+        lock(&cells[row]).step_until(target);
     }
 }
 
-/// N datacenters of M lockstep row engines under the site power
-/// hierarchy, optionally stepped by a scoped worker pool.
+/// N datacenters of M lockstep row engines under the site power tree,
+/// optionally stepped by a scoped worker pool.
 ///
 /// See the [module docs](self) for the window/merge protocol and the
 /// determinism contract. Controller construction is a factory so every
 /// row gets an independent policy instance (policies carry mutable
 /// per-row state).
 pub struct SiteSim<P> {
-    rows: Vec<RowEngine<P>>,
+    rows: Vec<RowCell<P>>,
     row_recorders: Vec<Recorder>,
     monitor: SiteMonitor,
+    rows_per_datacenter: usize,
     window: SimTime,
     horizon: SimTime,
     threads: usize,
@@ -595,26 +697,28 @@ impl<P: PowerController> SiteSim<P> {
     /// copies of `row`, each driven by its round-robin share of
     /// `source` and controlled by its own
     /// `make_controller(global_row_index, row_recorder)` instance, up
-    /// to `horizon`.
+    /// to `horizon`. The recorder handed to the factory is the fresh
+    /// per-row recorder the row simulates into, so controllers that
+    /// record their own transitions land them in the right row's log.
     ///
     /// # Panics
     ///
-    /// Panics if any shape count is zero or the base telemetry
-    /// interval is not positive.
-    pub fn new<S: RequestSource>(
+    /// Panics if any shape count is zero, an oversubscription fraction
+    /// is negative or NaN, or the base telemetry interval is not
+    /// positive.
+    pub fn new(
         row: RowConfig,
         site: SiteConfig,
         mut make_controller: impl FnMut(usize, &Recorder) -> P,
-        source: S,
+        source: impl Iterator<Item = Request>,
         horizon: SimTime,
     ) -> Self {
         assert!(
             site.base.telemetry_interval_s > 0.0,
             "site stepping needs a positive telemetry interval"
         );
-        let hierarchy = site.hierarchy(row.provisioned_watts());
-        let site_active = site.site_active();
-        let n = hierarchy.n_rows();
+        let tree = PowerTree::new(&site, row.provisioned_watts());
+        let n = tree.n_rows();
         let feeds = split_round_robin(source, n);
         let mut rows = Vec::with_capacity(n);
         let mut row_recorders = Vec::with_capacity(n);
@@ -626,8 +730,8 @@ impl<P: PowerController> SiteSim<P> {
             if let Some(plan) = site.base.recorder.energy_plan() {
                 recorder = recorder.with_energy(plan.at_location(
                     i,
-                    hierarchy.pdu_of(i),
-                    hierarchy.datacenter_of(i),
+                    tree.node_of(PDU, i),
+                    tree.node_of(DATACENTER, i),
                 ));
             }
             let mut cfg = site.base.clone();
@@ -635,116 +739,71 @@ impl<P: PowerController> SiteSim<P> {
             cfg.recorder = recorder.clone();
             cfg.oob_taps = site.base.oob_taps.for_row(i);
             let controller = make_controller(i, &recorder);
-            rows.push(ClusterSim::new(row.clone(), cfg, controller).into_row_sim(feed, horizon));
+            let engine = ClusterSim::new(row.clone(), cfg, controller).into_row_sim(feed, horizon);
+            rows.push(Mutex::new(engine));
             row_recorders.push(recorder);
         }
         SiteSim {
             rows,
             row_recorders,
-            monitor: SiteMonitor::new(
-                site.base.recorder,
-                hierarchy,
-                site.enforce_budgets,
-                site_active,
-            ),
+            monitor: SiteMonitor::new(site.base.recorder, tree, site.enforce_budgets),
+            rows_per_datacenter: site.rows_per_datacenter,
             window: SimTime::from_secs(site.base.telemetry_interval_s),
             horizon,
             threads: site.threads,
         }
     }
 
-    /// Total rows across the site.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The site power hierarchy (budgets, PDU/datacenter grouping).
-    pub fn hierarchy(&self) -> &SiteHierarchy {
-        &self.monitor.hierarchy
-    }
-
     /// Runs every row to the horizon, aggregating power at each
     /// telemetry-window boundary, and returns the site report.
     pub fn run(mut self) -> SiteReport {
         let threads = self.threads.clamp(1, self.rows.len());
-        if threads > 1 {
-            self.run_windows_parallel(threads);
+        if threads == 1 {
+            let cells = &self.rows;
+            self.monitor
+                .run_windows(cells, self.window, self.horizon, |target, due| {
+                    for &i in due {
+                        lock(&cells[i]).step_until(target);
+                    }
+                });
         } else {
-            self.run_windows_sequential();
+            self.run_pooled(threads);
         }
-        let h = &self.monitor.hierarchy;
-        let pdu_budget_watts: Vec<f64> = (0..h.n_pdus()).map(|p| h.pdu_budget_watts(p)).collect();
+        let tree = &self.monitor.tree;
+        let [pdus, dcs, site] = self.monitor.state;
         SiteReport {
-            datacenters: h.n_datacenters(),
-            rows_per_datacenter: h.rows_per_datacenter(),
-            pdu_budget_watts,
-            datacenter_budget_watts: h.datacenter_budget_watts(),
-            site_budget_watts: h.site_budget_watts(),
-            rows: self.rows.into_iter().map(RowSim::finish).collect(),
+            datacenters: tree.levels[DATACENTER].nodes.len(),
+            rows_per_datacenter: self.rows_per_datacenter,
+            pdu_budget_watts: tree.levels[PDU]
+                .nodes
+                .iter()
+                .map(|n| n.budget_watts)
+                .collect(),
+            datacenter_budget_watts: tree.levels[DATACENTER].nodes[0].budget_watts,
+            site_budget_watts: tree.levels[SITE].nodes[0].budget_watts,
+            rows: self
+                .rows
+                .into_iter()
+                .map(|cell| cell.into_inner().expect("row engine poisoned").finish())
+                .collect(),
             row_recorders: self.row_recorders,
-            pdu_peak_watts: self.monitor.pdu_peak,
-            datacenter_peak_watts: self.monitor.dc_peak,
-            site_peak_watts: self.monitor.site_peak,
-            pdu_violation_samples: self.monitor.pdu_violations,
-            datacenter_violation_samples: self.monitor.dc_violations,
-            site_violation_samples: self.monitor.site_violations,
+            pdu_peak_watts: pdus.peak,
+            datacenter_peak_watts: dcs.peak,
+            site_peak_watts: site.peak[0],
+            pdu_violation_samples: pdus.violation_samples,
+            datacenter_violation_samples: dcs.violation_samples,
+            site_violation_samples: site.violation_samples,
             fleet_brake_engagements: self.monitor.brakes,
             duration: self.horizon,
         }
     }
 
-    /// The single-threaded window loop: walk the due deque in row
-    /// order, then merge and observe.
-    fn run_windows_sequential(&mut self) {
-        let n = self.rows.len();
-        let mut next_at: Vec<Option<SimTime>> =
-            self.rows.iter().map(RowSim::next_event_time).collect();
-        let mut row_watts: Vec<f64> = self.rows.iter().map(RowSim::row_power_watts).collect();
-        let mut due: Vec<usize> = Vec::with_capacity(n);
-        let mut t = SimTime::ZERO;
-        loop {
-            let target = (t + self.window).min(self.horizon);
-            due.clear();
-            due.extend((0..n).filter(|&i| next_at[i].is_some_and(|at| at <= target)));
-            for &i in &due {
-                self.rows[i].step_until(target);
-            }
-            {
-                let _m = self.monitor.obs.prof().time(Phase::FleetMerge);
-                for &i in &due {
-                    next_at[i] = self.rows[i].next_event_time();
-                    row_watts[i] = self.rows[i].row_power_watts();
-                }
-            }
-            t = target;
-            for (row, on) in self.monitor.observe(t, &row_watts, due.len()) {
-                self.rows[row].inject(t, brake_request(on));
-                next_at[row] = self.rows[row].next_event_time();
-            }
-            if t >= self.horizon {
-                break;
-            }
-        }
-    }
-
-    /// The pooled window loop: `threads - 1` persistent scoped workers
-    /// plus the main thread claim due rows off an atomic cursor each
-    /// window, rendezvousing at barriers so merge/observe stay
+    /// Steps the window loop on `threads - 1` persistent scoped
+    /// workers plus the main thread, which claim due rows off an atomic
+    /// cursor and rendezvous at barriers so merge/observe stay
     /// single-threaded. Spawning once for the whole run (not per
     /// window) keeps the per-window cost at two barrier waits.
-    fn run_windows_parallel(&mut self, threads: usize) {
-        let n = self.rows.len();
-        let window = self.window;
-        let horizon = self.horizon;
-        let mut cells: Vec<Mutex<RowEngine<P>>> = self.rows.drain(..).map(Mutex::new).collect();
-        let mut next_at: Vec<Option<SimTime>> = cells
-            .iter_mut()
-            .map(|c| c.get_mut().expect("row engine poisoned").next_event_time())
-            .collect();
-        let mut row_watts: Vec<f64> = cells
-            .iter_mut()
-            .map(|c| c.get_mut().expect("row engine poisoned").row_power_watts())
-            .collect();
+    fn run_pooled(&mut self, threads: usize) {
         let plan = Mutex::new(WindowPlan {
             target: SimTime::ZERO,
             due: Vec::new(),
@@ -752,62 +811,34 @@ impl<P: PowerController> SiteSim<P> {
         let cursor = AtomicUsize::new(0);
         let done = AtomicBool::new(false);
         let barrier = Barrier::new(threads);
-        let monitor = &mut self.monitor;
-        {
-            let (cells, plan, cursor, done, barrier) = (&cells, &plan, &cursor, &done, &barrier);
-            std::thread::scope(|s| {
-                for _ in 1..threads {
-                    s.spawn(move || loop {
-                        barrier.wait();
-                        if done.load(Ordering::Acquire) {
-                            return;
-                        }
-                        drain_due(cells, plan, cursor);
-                        barrier.wait();
-                    });
-                }
-                let mut due: Vec<usize> = Vec::with_capacity(n);
-                let mut t = SimTime::ZERO;
-                loop {
-                    let target = (t + window).min(horizon);
-                    due.clear();
-                    due.extend((0..n).filter(|&i| next_at[i].is_some_and(|at| at <= target)));
+        let (cells, plan, cursor, done, barrier) = (&self.rows, &plan, &cursor, &done, &barrier);
+        std::thread::scope(|s| {
+            for _ in 1..threads {
+                s.spawn(move || loop {
+                    barrier.wait();
+                    if done.load(Ordering::Acquire) {
+                        return;
+                    }
+                    drain_due(cells, plan, cursor);
+                    barrier.wait();
+                });
+            }
+            self.monitor
+                .run_windows(cells, self.window, self.horizon, |target, due| {
                     {
                         let mut p = plan.lock().expect("window plan poisoned");
                         p.target = target;
                         p.due.clear();
-                        p.due.extend_from_slice(&due);
+                        p.due.extend_from_slice(due);
                     }
                     cursor.store(0, Ordering::Relaxed);
                     barrier.wait();
                     drain_due(cells, plan, cursor);
                     barrier.wait();
-                    {
-                        let _m = monitor.obs.prof().time(Phase::FleetMerge);
-                        for &i in &due {
-                            let row = cells[i].lock().expect("row engine poisoned");
-                            next_at[i] = row.next_event_time();
-                            row_watts[i] = row.row_power_watts();
-                        }
-                    }
-                    t = target;
-                    for (row, on) in monitor.observe(t, &row_watts, due.len()) {
-                        let mut r = cells[row].lock().expect("row engine poisoned");
-                        r.inject(t, brake_request(on));
-                        next_at[row] = r.next_event_time();
-                    }
-                    if t >= horizon {
-                        done.store(true, Ordering::Release);
-                        barrier.wait();
-                        break;
-                    }
-                }
-            });
-        }
-        self.rows = cells
-            .drain(..)
-            .map(|m| m.into_inner().expect("row engine poisoned"))
-            .collect();
+                });
+            done.store(true, Ordering::Release);
+            barrier.wait();
+        });
     }
 }
 
@@ -871,6 +902,63 @@ mod tests {
     }
 
     #[test]
+    fn row_seed_is_identity_for_row_zero() {
+        assert_eq!(row_seed(42, 0), 42);
+        assert_eq!(row_seed(0, 0), 0);
+        assert_eq!(row_seed(u64::MAX, 0), u64::MAX);
+        let seeds: std::collections::BTreeSet<u64> = (0..64).map(|r| row_seed(42, r)).collect();
+        assert_eq!(seeds.len(), 64, "row seeds must be distinct");
+    }
+
+    #[test]
+    fn power_tree_uses_global_indices_and_partial_pdus() {
+        // 3 datacenters × 5 rows, 2 rows per PDU: 3 PDUs each, the last
+        // one partial.
+        let site = SiteConfig {
+            datacenters: 3,
+            rows_per_datacenter: 5,
+            rows_per_pdu: 2,
+            ..SiteConfig::default()
+        };
+        let tree = PowerTree::new(&site, 1000.0);
+        let ranges = |level: usize| -> Vec<Range<usize>> {
+            tree.levels[level]
+                .nodes
+                .iter()
+                .map(|n| n.rows.clone())
+                .collect()
+        };
+        assert_eq!(tree.n_rows(), 15);
+        assert_eq!(
+            ranges(PDU),
+            [0..2, 2..4, 4..5, 5..7, 7..9, 9..10, 10..12, 12..14, 14..15]
+        );
+        assert_eq!(ranges(DATACENTER), [0..5, 5..10, 10..15]);
+        assert_eq!(tree.levels[SITE].nodes[0].rows, 0..15);
+        // Row 7 is local row 2 of datacenter 1: local PDU 1, global 4.
+        assert_eq!(tree.node_of(PDU, 7), 4);
+        assert_eq!(tree.node_of(DATACENTER, 4), 0);
+        assert_eq!(tree.node_of(DATACENTER, 5), 1);
+        // The partial PDU's provisioned budget counts only its one row.
+        assert_eq!(tree.levels[PDU].nodes[1].budget_watts, 2000.0);
+        assert_eq!(tree.levels[PDU].nodes[2].budget_watts, 1000.0);
+        assert_eq!(tree.levels[DATACENTER].nodes[2].budget_watts, 5000.0);
+        assert_eq!(tree.levels[SITE].nodes[0].budget_watts, 15_000.0);
+        assert_eq!(tree.levels[DATACENTER].nodes[1].label, Label::Datacenter(1));
+        assert!(tree.levels[SITE].active);
+        // Child sums equal the parent reading at every level.
+        let watts: Vec<f64> = (0..15).map(|i| 100.0 * (i + 1) as f64).collect();
+        let [pdus, dcs, bus] = tree.aggregate(&watts);
+        assert_eq!(pdus[..3], [300.0, 700.0, 500.0]);
+        assert_eq!(dcs, [1500.0, 4000.0, 6500.0]);
+        assert_eq!(bus, [12_000.0]);
+        // One datacenter: unpartitioned series, site level dormant.
+        let tree = PowerTree::new(&SiteConfig::default(), 1000.0);
+        assert_eq!(tree.levels[DATACENTER].nodes[0].label, Label::Global);
+        assert!(!tree.levels[SITE].active);
+    }
+
+    #[test]
     fn parallel_stepping_is_byte_identical_to_sequential() {
         let seq_cfg = site_config(2, 2, 1);
         let par_cfg = site_config(2, 2, 4);
@@ -897,13 +985,21 @@ mod tests {
     }
 
     #[test]
-    fn one_datacenter_site_without_site_knobs_stays_on_the_fleet_path() {
+    fn one_datacenter_site_without_site_knobs_stays_inactive() {
         let cfg = site_config(1, 2, 1);
         assert!(!cfg.site_active());
         let obs = cfg.base.recorder.clone();
         let report = run_site(cfg, 600.0);
         assert_eq!(report.datacenters, 1);
         assert_eq!(report.site_violation_samples, 0);
+        // Round-robin dispatch splits the 120 arrivals evenly.
+        assert_eq!(report.rows[0].offered, 60);
+        assert_eq!(report.rows[1].offered, 60);
+        assert_eq!(report.offered(), 120);
+        assert_eq!(
+            report.latencies(Priority::Low).len(),
+            report.rows[0].low_latencies_s.len() + report.rows[1].low_latencies_s.len()
+        );
         let events = obs.artifacts().events_jsonl();
         assert!(!events.contains("\"site\""), "no site-scoped events");
         assert!(!obs.artifacts().metrics_json().contains("site.power_w"));
@@ -912,57 +1008,84 @@ mod tests {
     }
 
     #[test]
-    fn site_budget_violations_are_recorded_per_scope() {
-        let mut cfg = site_config(3, 2, 2);
-        cfg.site_budget_watts = Some(1.0);
-        cfg.datacenter_budget_watts = Some(1.0);
-        assert!(cfg.site_active());
-        let obs = cfg.base.recorder.clone();
-        let report = run_site(cfg, 100.0);
-        assert_eq!(report.site_violation_samples, 50); // every 2 s window
-        assert_eq!(report.datacenter_violation_samples, 50);
-        assert_eq!(report.fleet_brake_engagements, 0); // monitoring only
-        assert!(report.site_peak_utilization() > 1.0);
-        let events = obs.artifacts().events_jsonl();
-        assert!(events.contains("\"scope\":\"site\""));
-        assert!(events.contains("\"scope\":\"datacenter\""));
-        let prom = obs.artifacts().metrics_prometheus();
-        assert!(prom.contains("datacenter=\"2\""), "per-dc series:\n{prom}");
+    fn budget_violations_are_recorded_per_scope() {
+        // (datacenters, pdu, datacenter, site budget) → expected
+        // (pdu, datacenter, site) violation samples over 100 s: one per
+        // 2 s window wherever the budget is 1 W.
+        let cases = [
+            ((3, None, Some(1.0), Some(1.0)), [0, 50, 50]),
+            ((1, Some(1.0), None, None), [50, 0, 0]),
+        ];
+        for ((datacenters, pdu, dc, site), expected) in cases {
+            let mut cfg = site_config(datacenters, 2, 2);
+            cfg.pdu_budget_watts = pdu;
+            cfg.datacenter_budget_watts = dc;
+            cfg.site_budget_watts = site;
+            let obs = cfg.base.recorder.clone();
+            let report = run_site(cfg, 100.0);
+            let samples = [
+                report.pdu_violation_samples,
+                report.datacenter_violation_samples,
+                report.site_violation_samples,
+            ];
+            assert_eq!(samples, expected);
+            assert_eq!(report.fleet_brake_engagements, 0); // monitoring only
+            assert!(report.rows.iter().all(|r| r.brake_engagements == 0));
+            let events = obs.artifacts().events_jsonl();
+            assert!(events.contains("\"fleet_power_sample\""));
+            for (scope, &n) in ["pdu", "datacenter", "site"].iter().zip(&expected) {
+                let tag = format!("\"scope\":\"{scope}\"");
+                assert_eq!(events.contains(&tag), n > 0, "{tag}");
+            }
+            if datacenters > 1 {
+                assert!(report.site_peak_utilization() > 1.0);
+                let prom = obs.artifacts().metrics_prometheus();
+                assert!(prom.contains("datacenter=\"2\""), "per-dc series:\n{prom}");
+            }
+        }
     }
 
     #[test]
-    fn datacenter_enforcement_brakes_every_row() {
-        // The historical FleetSim documented datacenter-budget
-        // enforcement but only ever enforced at the PDU breaker; the
-        // site monitor closes that gap.
-        let mut free_cfg = site_config(1, 2, 1);
-        free_cfg.datacenter_budget_watts = Some(1.0);
-        let free = run_site(free_cfg.clone(), 900.0);
-        let mut braked_cfg = free_cfg;
-        braked_cfg.enforce_budgets = true;
-        braked_cfg.base.recorder = Recorder::new(ObsLevel::Full);
-        let braked = run_site(braked_cfg, 900.0);
-        assert_eq!(braked.fleet_brake_engagements, 1);
-        assert_eq!(braked.rows[0].brake_engagements, 1);
-        assert_eq!(braked.rows[1].brake_engagements, 1);
-        assert!(braked.mean_site_watts() < free.mean_site_watts());
+    fn pdu_and_datacenter_enforcement_brake_every_row() {
+        for budget_pdu in [true, false] {
+            let mut free_cfg = site_config(1, 2, 1);
+            if budget_pdu {
+                free_cfg.pdu_budget_watts = Some(1.0);
+            } else {
+                free_cfg.datacenter_budget_watts = Some(1.0);
+            }
+            let free = run_site(free_cfg.clone(), 900.0);
+            let mut braked_cfg = free_cfg;
+            braked_cfg.enforce_budgets = true;
+            braked_cfg.base.recorder = Recorder::new(ObsLevel::Full);
+            let braked = run_site(braked_cfg, 900.0);
+            assert_eq!(braked.fleet_brake_engagements, 1);
+            assert_eq!(braked.rows[0].brake_engagements, 1);
+            assert_eq!(braked.rows[1].brake_engagements, 1);
+            assert!(braked.mean_site_watts() < free.mean_site_watts());
+        }
     }
 
     #[test]
     fn overlapping_brakes_release_only_when_every_level_clears() {
-        let h = SiteHierarchy::uniform(1, 2, 2, 1000.0);
-        let mut m = SiteMonitor::new(Recorder::new(ObsLevel::Off), h, true, false);
+        let site = SiteConfig {
+            rows_per_datacenter: 2,
+            rows_per_pdu: 2,
+            ..SiteConfig::default()
+        };
+        let tree = PowerTree::new(&site, 1000.0);
+        let mut m = SiteMonitor::new(Recorder::new(ObsLevel::Off), tree, true);
         let mut toggles = Vec::new();
         // Both the PDU and the datacenter engage on the same sample.
-        m.enforce_pdu(0, 2500.0, 2000.0, &mut toggles);
-        m.enforce_datacenter(0, 2500.0, 2000.0, &mut toggles);
+        m.hysteresis(PDU, 0, 2500.0, &mut toggles);
+        m.hysteresis(DATACENTER, 0, 2500.0, &mut toggles);
         assert_eq!(toggles, vec![(0, true), (1, true)]);
         // The PDU releases but the datacenter still holds: no toggle.
         toggles.clear();
-        m.enforce_pdu(0, 1800.0, 2000.0, &mut toggles);
+        m.hysteresis(PDU, 0, 1800.0, &mut toggles);
         assert!(toggles.is_empty());
         // Only once the datacenter also releases do the rows unbrake.
-        m.enforce_datacenter(0, 1800.0, 2000.0, &mut toggles);
+        m.hysteresis(DATACENTER, 0, 1800.0, &mut toggles);
         assert_eq!(toggles, vec![(0, false), (1, false)]);
         assert_eq!(m.brakes, 2);
     }

@@ -89,34 +89,26 @@ impl CostModel {
 
     /// Energy per completed request in watt-hours — the power-efficiency
     /// metric oversubscription improves (more work amortizes the idle
-    /// and facility overhead).
+    /// and facility overhead). `None` when no request completed.
     ///
-    /// This is the *aggregate* estimator: it spreads the whole row's
-    /// mean draw — hot-idle floor, idle servers, and the PUE facility
-    /// overhead included — evenly across completed requests. The
-    /// polca-req ledger (`ReqRecord::joules`) is the *attributed*
-    /// view of the same quantity: each request is charged only the
-    /// busy power of the iterations it actually rode, so idle and
-    /// facility overhead are excluded. The aggregate therefore upper-
-    /// bounds the mean of the per-request ledger, and the two agree
-    /// within the idle/PUE overhead factor (see the
+    /// With a non-empty polca-energy `ledger` this is *measured*: the
+    /// ledger's integrated facility energy over completed requests. The
+    /// ledger already applied its own (possibly per-datacenter) PUE, so
+    /// this model's [`pue`](CostModel::pue) plays no part and facility
+    /// overhead is never counted twice.
+    ///
+    /// Without one it is the *aggregate estimate*: the row's mean draw
+    /// (`mean_utilization` × provisioned power over `days`) — hot-idle
+    /// floor, idle servers and the PUE overhead included — spread
+    /// evenly across completed requests. The polca-req ledger
+    /// (`ReqRecord::joules`) is the *attributed* view: each request is
+    /// charged only the busy power of the iterations it rode. So
+    /// attributed ≤ measured ≤ estimate (see the
     /// `aggregate_energy_estimator_bounds_the_req_ledger` test in
     /// `tests/req_trace.rs`).
     pub fn energy_per_request_wh(
         &self,
-        outcome: &PolicyOutcome,
-        row: &RowConfig,
-        days: f64,
-    ) -> Option<f64> {
-        let completed = outcome.counts.1;
-        self.energy_per_request_wh_raw(outcome.mean_utilization, completed, row, days)
-    }
-
-    /// [`energy_per_request_wh`](Self::energy_per_request_wh) from raw
-    /// utilization and counts, for outcome types other than
-    /// [`PolicyOutcome`] (the trace-replay paths).
-    pub fn energy_per_request_wh_raw(
-        &self,
+        ledger: Option<&EnergyLedger>,
         mean_utilization: f64,
         completed: u64,
         row: &RowConfig,
@@ -125,45 +117,11 @@ impl CostModel {
         if completed == 0 {
             return None;
         }
-        let mean_watts = mean_utilization * row.provisioned_watts();
-        let energy_kwh = mean_watts * self.pue * days * 24.0 / 1000.0;
-        Some(energy_kwh * 1000.0 / completed as f64)
-    }
-
-    /// Energy per completed request in watt-hours, *measured*: when a
-    /// polca-energy ledger was attached to the run, use its integrated
-    /// facility energy instead of the utilization × PUE estimator. The
-    /// ledger already applied its own (possibly per-datacenter) PUE, so
-    /// this model's [`pue`](CostModel::pue) constant plays no part —
-    /// the two planes cannot double-count facility overhead. Returns
-    /// `None` when the ledger is empty or no requests completed, in
-    /// which case callers fall back to the estimator.
-    pub fn energy_per_request_wh_measured(
-        &self,
-        ledger: &EnergyLedger,
-        completed: u64,
-    ) -> Option<f64> {
-        if ledger.is_empty() || completed == 0 {
-            return None;
-        }
-        Some(ledger.site.facility_wh / completed as f64)
-    }
-
-    /// [`energy_per_request_wh`](Self::energy_per_request_wh) preferring
-    /// the measured ledger value when one is available: the exact
-    /// trapezoidal integral replaces the documented upper-bound
-    /// estimator, which stays as the ledger-off fallback.
-    pub fn energy_per_request_wh_with_ledger(
-        &self,
-        ledger: Option<&EnergyLedger>,
-        mean_utilization: f64,
-        completed: u64,
-        row: &RowConfig,
-        days: f64,
-    ) -> Option<f64> {
-        ledger
-            .and_then(|l| self.energy_per_request_wh_measured(l, completed))
-            .or_else(|| self.energy_per_request_wh_raw(mean_utilization, completed, row, days))
+        let facility_wh = match ledger {
+            Some(ledger) if !ledger.is_empty() => ledger.site.facility_wh,
+            _ => mean_utilization * row.provisioned_watts() * self.pue * days * 24.0,
+        };
+        Some(facility_wh / completed as f64)
     }
 }
 
@@ -199,9 +157,13 @@ mod tests {
         let model = CostModel::default();
         let base = study.run(PolicyKind::NoCap, 0.0, 1.0);
         let over = study.run(PolicyKind::Polca, 0.30, 1.0);
-        let base_epr = model.energy_per_request_wh(&base, &row, days).unwrap();
-        let over_row = row.clone().with_added_servers(0.30);
-        let over_epr = model.energy_per_request_wh(&over, &over_row, days).unwrap();
+        let epr = |o: &crate::experiment::PolicyOutcome, row: &RowConfig| {
+            model
+                .energy_per_request_wh(None, o.mean_utilization, o.counts.1, row, days)
+                .unwrap()
+        };
+        let base_epr = epr(&base, &row);
+        let over_epr = epr(&over, &row.clone().with_added_servers(0.30));
         // More requests amortize the hot-idle floor: energy per request
         // improves (or at worst stays flat).
         assert!(over_epr <= base_epr * 1.02, "{over_epr} vs {base_epr}");
@@ -241,26 +203,20 @@ mod tests {
         let model = CostModel::default();
         let row = RowConfig::paper_inference_row();
         let ledger = ledger_with_facility_wh(500.0);
-        assert_eq!(
-            model.energy_per_request_wh_measured(&ledger, 50),
-            Some(10.0)
-        );
-        assert_eq!(model.energy_per_request_wh_measured(&ledger, 0), None);
         let empty = EnergyLedger::from_rows(&[]);
-        assert_eq!(model.energy_per_request_wh_measured(&empty, 50), None);
-        // With a ledger attached, the dispatcher reports the measured
-        // value; without one it falls back to the estimator.
-        let measured = model
-            .energy_per_request_wh_with_ledger(Some(&ledger), 0.8, 50, &row, 1.0)
-            .unwrap();
+        let epr =
+            |ledger, completed| model.energy_per_request_wh(ledger, 0.8, completed, &row, 1.0);
+        // With a ledger attached the measured value is reported; an
+        // empty or absent ledger falls back to the estimator.
+        let measured = epr(Some(&ledger), 50).unwrap();
         assert_eq!(measured, 10.0);
-        let estimated = model
-            .energy_per_request_wh_with_ledger(None, 0.8, 50, &row, 1.0)
-            .unwrap();
-        assert_eq!(
-            Some(estimated),
-            model.energy_per_request_wh_raw(0.8, 50, &row, 1.0)
-        );
+        let estimated = epr(None, 50).unwrap();
+        assert_eq!(epr(Some(&empty), 50), Some(estimated));
+        // 0.8 × 40 servers × 6.5 kW × 1.25 PUE × 24 h over 50 requests.
+        let expected = 0.8 * row.provisioned_watts() * 1.25 * 24.0 / 50.0;
+        assert!((estimated - expected).abs() < 1e-9 * expected);
+        assert_eq!(epr(Some(&ledger), 0), None);
+        assert_eq!(epr(None, 0), None);
         // The estimator spreads the full mean draw (idle floor + PUE)
         // over requests, so it dominates any realistic measured value.
         assert!(estimated > measured);

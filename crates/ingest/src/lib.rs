@@ -16,8 +16,8 @@
 //!    generator's own diurnal model to the trace, validated with the
 //!    §6.4 replication-MAPE bound, so a single ingested day can be
 //!    extrapolated to the paper's six-week evaluation horizon.
-//! 4. **Replay** ([`replay`]) — the trace verbatim as a
-//!    `RequestSource` for `polca-cluster`, with deterministic
+//! 4. **Replay** ([`replay`]) — the trace verbatim as a request
+//!    iterator for `polca-cluster`, with deterministic
 //!    time-scaling and rate-scaling knobs.
 //! 5. **Export** ([`export`]) — the inverse map, writing generated
 //!    traces back out in the same schema; export → ingest → replay is

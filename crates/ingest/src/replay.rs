@@ -2,7 +2,7 @@
 //!
 //! [`TraceReplay`] turns an [`IngestedTrace`] into the `Request` stream
 //! the simulator consumes — it implements `Iterator<Item = Request>`,
-//! which `polca-cluster`'s blanket impl lifts into a `RequestSource`.
+//! which `ClusterSim::run` and `SiteSim::new` take directly.
 //! With default options the replay is **exact**: every record becomes
 //! one request at its recorded arrival time, and when the trace carries
 //! a priority column no randomness is consulted at all, so

@@ -1,14 +1,14 @@
 //! Fleet-scale refactor guarantees (ISSUE 4 acceptance criteria):
 //!
-//! * a 1-row [`FleetSim`] is a *bit-identical* re-packaging of the
-//!   legacy single-row `ClusterSim` path — same report, same
+//! * a default (1-row) [`SiteSim`] is a *bit-identical* re-packaging
+//!   of the single-row `ClusterSim` path — same report, same
 //!   `events.jsonl` bytes — at any seed,
 //! * the deterministic sweep runner produces byte-identical artifacts
 //!   (`events.jsonl`, `metrics.json`) and identical outcomes whether
 //!   it runs on 1 worker thread or 4.
 
 use polca::{OversubscriptionStudy, PolcaController, PolcaPolicy, PolicyKind};
-use polca_cluster::{ClusterSim, FleetConfig, FleetSim, Request, RowConfig, SimConfig};
+use polca_cluster::{ClusterSim, Request, RowConfig, SimConfig, SiteConfig, SiteSim};
 use polca_obs::{ObsLevel, Recorder};
 use polca_sim::SimTime;
 use polca_trace::{ArrivalGenerator, TraceConfig};
@@ -32,8 +32,8 @@ const HORIZON: f64 = 20.0 * 60.0 + 600.0;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Tentpole invariant: wrapping the row engine in a 1-row fleet
-    /// changes nothing — not the report, not a single event byte.
+    /// Wrapping the row engine in a default 1-row site changes
+    /// nothing — not the report, not a single event byte.
     #[test]
     fn one_row_fleet_reproduces_the_legacy_path_bit_for_bit(seed in 0u64..500) {
         let requests = arrivals(seed);
@@ -51,12 +51,12 @@ proptest! {
         let solo = ClusterSim::new(small_row(), solo_cfg, solo_controller)
             .run(requests.clone(), until);
 
-        let mut fleet_cfg = FleetConfig::with_rows(1);
-        fleet_cfg.base.seed = seed;
-        fleet_cfg.base.recorder = Recorder::new(ObsLevel::Events);
-        let fleet = FleetSim::new(
+        let mut site = SiteConfig::default();
+        site.base.seed = seed;
+        site.base.recorder = Recorder::new(ObsLevel::Events);
+        let fleet = SiteSim::new(
             small_row(),
-            fleet_cfg,
+            site,
             |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
             requests.into_iter(),
             until,

@@ -32,7 +32,7 @@ fn sample_path() -> &'static Path {
 }
 
 /// The PR's acceptance bar: exporting a seeded synthetic trace to CSV
-/// and replaying it through `RequestSource` yields a byte-identical
+/// and replaying it as a request iterator yields a byte-identical
 /// `events.jsonl` versus running the generator directly.
 #[test]
 fn replayed_trace_reproduces_the_generator_run_byte_for_byte() {

@@ -201,9 +201,12 @@ fn aggregate_energy_estimator_bounds_the_req_ledger() {
     assert!(ledger_mean_wh > 0.0);
 
     let days = eval.horizon().as_secs() / 86_400.0;
-    let aggregate_wh = CostModel::default()
-        .energy_per_request_wh_raw(o.mean_utilization, o.counts.1, &row, days)
-        .unwrap();
+    let per_request_wh = |ledger| {
+        CostModel::default()
+            .energy_per_request_wh(ledger, o.mean_utilization, o.counts.1, &row, days)
+            .unwrap()
+    };
+    let aggregate_wh = per_request_wh(None);
     let ratio = aggregate_wh / ledger_mean_wh;
     // The gap is exactly the unattributed overhead: hot-idle floor,
     // idle servers, and the 1.25 PUE factor. It can never dip below
@@ -221,9 +224,7 @@ fn aggregate_energy_estimator_bounds_the_req_ledger() {
     // but spends no margin on the estimator's utilization model.
     let ledger = run.energy_ledger();
     assert!(!ledger.is_empty());
-    let measured = CostModel::default()
-        .energy_per_request_wh_measured(&ledger, o.counts.1)
-        .unwrap();
+    let measured = per_request_wh(Some(&ledger));
     assert!(
         measured >= ledger_mean_wh,
         "measured {measured} < attributed mean {ledger_mean_wh}"

@@ -6,14 +6,14 @@
 //!   `incidents.jsonl` to the same site stepped sequentially, at any
 //!   seed — even with budget enforcement injecting brake commands
 //!   mid-run,
-//! * a 1-datacenter [`SiteSim`] is a bit-identical re-packaging of
-//!   the pre-refactor [`FleetSim`] path,
 //! * hierarchy budget math: a parent-level `BudgetViolation` is never
 //!   emitted unless the sum of its children's powers at that sample
-//!   actually exceeds the parent cap, for randomized site shapes.
+//!   actually exceeds the parent cap, and every budget follows the
+//!   absolute-over-fraction precedence, for randomized site shapes
+//!   and budget knobs.
 
 use polca::{PolcaController, PolcaPolicy};
-use polca_cluster::{FleetConfig, FleetSim, Request, RowConfig, SiteConfig, SiteSim};
+use polca_cluster::{Request, RowConfig, SiteConfig, SiteSim};
 use polca_obs::{Event, ObsLevel, Recorder, ReqTraceConfig};
 use polca_sim::SimTime;
 use polca_telemetry::{merge_tick_columns, RowPowerTaps, RowTickBuffer};
@@ -136,53 +136,6 @@ proptest! {
         prop_assert_eq!(&seq.incidents, &par.incidents);
     }
 
-    /// A 1-datacenter site is the pre-refactor fleet, bit for bit.
-    #[test]
-    fn one_datacenter_site_matches_the_fleet_wrapper(seed in 0u64..500) {
-        let site_rec = Recorder::new(ObsLevel::Events);
-        let mut site = FleetConfig::with_rows(2).into_site();
-        site.rows_per_pdu = 2;
-        site.enforce_budgets = true;
-        site.base.seed = seed;
-        site.base.recorder = site_rec.clone();
-        let policy = PolcaPolicy::default();
-        let site_report = SiteSim::new(
-            small_row(),
-            site,
-            |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
-            arrivals(seed).into_iter(),
-            SimTime::from_secs(HORIZON),
-        )
-        .run();
-
-        let legacy_rec = Recorder::new(ObsLevel::Events);
-        let mut cfg = FleetConfig::with_rows(2);
-        cfg.rows_per_pdu = 2;
-        cfg.enforce_budgets = true;
-        cfg.base.seed = seed;
-        cfg.base.recorder = legacy_rec.clone();
-        let legacy = FleetSim::new(
-            small_row(),
-            cfg,
-            |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
-            arrivals(seed).into_iter(),
-            SimTime::from_secs(HORIZON),
-        )
-        .run();
-        prop_assert_eq!(legacy.rows.len(), site_report.rows.len());
-        for (a, b) in legacy.rows.iter().zip(&site_report.rows) {
-            prop_assert_eq!(a.offered, b.offered);
-            prop_assert_eq!(a.completed, b.completed);
-            prop_assert_eq!(a.peak_row_watts, b.peak_row_watts);
-            prop_assert_eq!(a.brake_engagements, b.brake_engagements);
-        }
-        prop_assert_eq!(legacy.fleet_brake_engagements, site_report.fleet_brake_engagements);
-        prop_assert_eq!(legacy.datacenter_peak_watts, site_report.datacenter_peak_watts[0]);
-        let legacy_events = legacy_rec.artifacts().events_jsonl();
-        prop_assert!(!legacy_events.is_empty());
-        prop_assert_eq!(legacy_events, site_rec.artifacts().events_jsonl());
-    }
-
     /// Hierarchy budget math: a parent violation is only ever emitted
     /// when its children's summed power at that sample exceeds the
     /// parent cap — across randomized site shapes.
@@ -192,28 +145,35 @@ proptest! {
         datacenters in 1usize..4,
         rows_per_dc in 1usize..4,
         rows_per_pdu in 1usize..3,
+        knob in 0usize..3,
     ) {
         let recorder = Recorder::new(ObsLevel::Events);
         let row = small_row();
+        // Caps at half the provisioned power beneath each node, far
+        // below what even lightly loaded rows draw, so violations occur
+        // at every shape. `knob` sets them through the absolute
+        // overrides (0), oversubscription fractions f = 1 (1), or both
+        // with a looser fraction the absolute override must beat (2).
+        let half = |rows: usize| row.provisioned_watts() * 0.5 * rows as f64;
+        let absolute = knob != 1;
+        let fraction = [None, Some(1.0), Some(0.25)][knob];
         let mut site = SiteConfig {
             datacenters,
             rows_per_datacenter: rows_per_dc,
             rows_per_pdu,
-            // Caps far below what even lightly loaded rows draw, so
-            // violations occur at every shape.
-            pdu_budget_watts: Some(row.provisioned_watts() * 0.5),
-            datacenter_budget_watts: Some(row.provisioned_watts() * 0.5 * rows_per_dc as f64),
-            site_budget_watts: Some(
-                row.provisioned_watts() * 0.5 * (rows_per_dc * datacenters) as f64,
-            ),
+            pdu_budget_watts: absolute.then(|| half(1)),
+            datacenter_budget_watts: absolute.then(|| half(rows_per_dc)),
+            site_budget_watts: absolute.then(|| half(rows_per_dc * datacenters)),
+            pdu_oversubscription: fraction,
+            datacenter_oversubscription: fraction,
+            site_oversubscription: fraction,
             ..SiteConfig::default()
         };
         site.base.seed = seed;
         site.base.recorder = recorder.clone();
         let policy = PolcaPolicy::default();
-        let hierarchy = site.hierarchy(row.provisioned_watts());
         let report = SiteSim::new(
-            row,
+            row.clone(),
             site,
             |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
             arrivals(seed).into_iter(),
@@ -221,6 +181,25 @@ proptest! {
         )
         .run();
         prop_assert_eq!(report.rows.len(), datacenters * rows_per_dc);
+
+        // Global PDU `p` is local PDU `p % pdus_per_dc` of datacenter
+        // `p / pdus_per_dc`; the last PDU of a datacenter may be partial.
+        let pdus_per_dc = rows_per_dc.div_ceil(rows_per_pdu);
+        let pdu_rows = |p: usize| {
+            let dc = report.rows_in_datacenter(p / pdus_per_dc);
+            let start = dc.start + (p % pdus_per_dc) * rows_per_pdu;
+            start..(start + rows_per_pdu).min(dc.end)
+        };
+        // Budget precedence at every level: the absolute override, else
+        // provisioned / (1 + f).
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b;
+        prop_assert_eq!(report.pdu_budget_watts.len(), datacenters * pdus_per_dc);
+        for (p, &budget) in report.pdu_budget_watts.iter().enumerate() {
+            let want = if absolute { half(1) } else { half(pdu_rows(p).len()) };
+            prop_assert!(close(budget, want), "pdu {} budget {} != {}", p, budget, want);
+        }
+        prop_assert!(close(report.datacenter_budget_watts, half(rows_per_dc)));
+        prop_assert!(close(report.site_budget_watts, half(rows_per_dc * datacenters)));
 
         // Reconstruct each boundary sample's per-row powers from the
         // event stream, then check every violation's roll-up.
@@ -236,12 +215,12 @@ proptest! {
                 }
                 Event::BudgetViolation { t, scope, unit, watts, budget_watts } => {
                     prop_assert_eq!(*t, sample_t, "violation outside a boundary sample");
+                    let dc_sum =
+                        |d: usize| -> f64 { report.rows_in_datacenter(d).map(|r| row_watts[r]).sum() };
                     let child_sum: f64 = match *scope {
-                        "pdu" => hierarchy.rows_in_pdu(*unit).map(|r| row_watts[r]).sum(),
-                        "datacenter" => {
-                            hierarchy.rows_in_datacenter(*unit).map(|r| row_watts[r]).sum()
-                        }
-                        "site" => hierarchy.datacenter_powers(&row_watts).iter().sum(),
+                        "pdu" => pdu_rows(*unit).map(|r| row_watts[r]).sum(),
+                        "datacenter" => dc_sum(*unit),
+                        "site" => (0..datacenters).map(dc_sum).sum(),
                         other => {
                             prop_assert!(false, "unknown scope {}", other);
                             unreachable!()
