@@ -75,8 +75,10 @@ for row in 0 1 2 3 4 5; do
 done
 grep -q 'datacenter="2"' "$site_seq/metrics.prom" \
     || { echo "no per-datacenter series in site metrics.prom"; exit 1; }
-# --jobs (sweep workers) and --fleet-threads (row workers) nest: the
-# four-policy panel path must still run with both set.
+# --jobs and --fleet-threads are both accepted together: with --rows
+# and --datacenters this is the one-policy site-replay shape, which
+# steps rows on --fleet-threads and reads no --jobs (that drives only
+# the four-policy single-row panel).
 cargo run -q --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --rows 2 --datacenters 2 --servers 10 --jobs 2 --fleet-threads 2 \
@@ -187,52 +189,31 @@ cargo run -q --offline --release -p polca-cli -- \
 grep -q '^carbon_mean_g_per_kwh ' "$energy_trace_out/metrics.prom" \
     || { echo "carbon trace run emitted no mean intensity"; exit 1; }
 
-echo "== bench-smoke (polca-cli profile vs committed BENCH_*.json) =="
-# The committed BENCH_sim.json / BENCH_watch.json / BENCH_ingest.json /
-# BENCH_serve.json / BENCH_fleet.json / BENCH_energy.json at the
-# repository root are the perf-trajectory baseline, written by:
-#
-#   cargo run --release -p polca-cli -- profile --bench-out .
-#
-# The gate re-measures with the same command and fails when a
-# throughput metric drops more than POLCA_BENCH_TOLERANCE_PCT below
-# its committed value. The default tolerance is 20% — wide enough to
-# absorb scheduler noise on a quiet machine (the profile command
-# already takes best-of-N internally), tight enough to catch a real
-# hot-path regression. Absolute numbers are machine-dependent:
-# re-baseline with the command above when CI hardware changes, or
-# raise the tolerance via the environment for shared/noisy runners.
-bench_out="$(scratch)"
+echo "== polca-cli profile smoke test =="
+# The benchmark gate is BENCHMARK.json / perfbench (the correctness
+# step above); `profile` is the self-profiling job: one profiled
+# repetition must print the attribution table and write its artifacts.
+prof_out="$(scratch)"
 cargo run -q --offline --release -p polca-cli -- \
-    profile --reps 3 --bench-out "$bench_out" > "$bench_out/profile.txt"
-grep -q '^accounted: ' "$bench_out/profile.txt" \
+    profile --reps 1 --out "$prof_out" > "$prof_out/profile.txt"
+grep -q '^accounted: ' "$prof_out/profile.txt" \
     || { echo "profile printed no attribution table"; exit 1; }
-tol="${POLCA_BENCH_TOLERANCE_PCT:-20}"
-bench_value() { # <file> <key> — extract one top-level metric
-    awk -v key="$2" -F'[:,]' \
-        '$0 ~ "\"" key "\":" { gsub(/[ ",]/, "", $2); print $2; exit }' "$1"
-}
-check_bench() { # <name> <throughput-key>
-    local name="$1" key="$2" committed fresh
-    [[ -f "BENCH_${name}.json" ]] \
-        || { echo "missing committed baseline BENCH_${name}.json"; exit 1; }
-    committed="$(bench_value "BENCH_${name}.json" "$key")"
-    fresh="$(bench_value "$bench_out/BENCH_${name}.json" "$key")"
-    [[ -n "$committed" && -n "$fresh" ]] \
-        || { echo "bench-smoke: $key missing from BENCH_${name}.json"; exit 1; }
-    if ! awk -v c="$committed" -v f="$fresh" -v t="$tol" \
-        'BEGIN { exit !(f >= c * (1 - t / 100)) }'; then
-        echo "bench-smoke: ${name}.${key} regressed >${tol}%:" \
-             "fresh $fresh vs baseline $committed"
-        exit 1
-    fi
-    echo "  ${name}.${key}: $fresh vs baseline $committed (tolerance ${tol}%)"
-}
-check_bench sim sim_s_per_s
-check_bench watch watch_runs_per_s
-check_bench ingest rows_per_s
-check_bench serve serve_sim_s_per_s
-check_bench fleet fleet_sim_s_per_s
-check_bench energy energy_runs_per_s
+for f in prof.json prof.folded; do
+    [[ -f "$prof_out/$f" ]] || { echo "missing profile artifact: $f"; exit 1; }
+done
+
+echo "== polca-cli error paths =="
+# Out-of-range values and undeclared flags are user errors: exit 1 with
+# an `error:` line, never a panic (exit 101).
+for args in "evaluate --days -1" "evaluate --dayz 1"; do
+    status=0
+    # shellcheck disable=SC2086
+    err="$(cargo run -q --offline --release -p polca-cli -- $args 2>&1 >/dev/null)" \
+        || status=$?
+    [[ "$status" -eq 1 ]] \
+        || { echo "polca-cli $args exited $status, want 1"; exit 1; }
+    grep -q '^error: ' <<<"$err" \
+        || { echo "polca-cli $args printed no error line"; exit 1; }
+done
 
 echo "CI OK"

@@ -17,14 +17,11 @@
 //!   does almost no work per event and the fixed per-window ledger
 //!   cost is maximally visible.
 
-use std::time::Instant;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use polca::{OversubscriptionStudy, PolcaPolicy, PolicyKind};
-use polca_bench::write_bench_report;
 use polca_cluster::{ClusterSim, NoopController, RowConfig, SimConfig};
-use polca_obs::{BenchReport, CarbonSignal, EnergyPlan, ObsLevel, Recorder};
+use polca_obs::{CarbonSignal, EnergyPlan, ObsLevel, Recorder};
 use polca_sim::SimTime;
 use polca_trace::{ArrivalGenerator, TraceConfig};
 
@@ -103,25 +100,6 @@ fn energy_overhead(c: &mut Criterion) {
         b.iter(|| black_box(kernel_run(true)))
     });
     group.finish();
-
-    // Machine-readable report: best-of-3 wall times on the study pair.
-    let mut study = paper_study();
-    let (mut base_s, mut energy_s) = (f64::MAX, f64::MAX);
-    for _ in 0..3 {
-        let start = Instant::now();
-        let _ = black_box(study_iter(&mut study, false));
-        base_s = base_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let _ = black_box(study_iter(&mut study, true));
-        energy_s = energy_s.min(start.elapsed().as_secs_f64());
-    }
-    write_bench_report(
-        &BenchReport::new("energy")
-            .metric("energy_runs_per_s", 1.0 / energy_s.max(1e-9))
-            .metric("wall_s_baseline", base_s)
-            .metric("wall_s_energy", energy_s)
-            .metric("overhead_pct", (energy_s - base_s) / base_s * 100.0),
-    );
 }
 
 criterion_group!(energy, energy_overhead);

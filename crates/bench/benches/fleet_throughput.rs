@@ -1,10 +1,10 @@
 //! `fleet_throughput`: wall-clock throughput of the multi-datacenter
 //! site simulator, sequential vs parallel row stepping.
 //!
-//! The workload is the `BENCH_fleet.json` shape: a 100-row site
-//! (25 datacenters × 4 rows behind 2-row PDUs) of small rows over a
-//! short horizon. The offline criterion stand-in has no `Throughput`
-//! API, so the bench prints its own rate lines:
+//! The workload is a 100-row site (25 datacenters × 4 rows behind
+//! 2-row PDUs) of small rows over a short horizon. The offline
+//! criterion stand-in has no `Throughput` API, so the bench prints its
+//! own rate lines:
 //!
 //! * `site_100rows` — simulated-seconds/sec and events/sec at
 //!   `threads = 1`,
@@ -16,9 +16,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use polca_bench::write_bench_report;
 use polca_cluster::{NoopController, Request, RowConfig, SiteConfig, SiteReport, SiteSim};
-use polca_obs::BenchReport;
 use polca_sim::SimTime;
 use polca_trace::{ArrivalGenerator, TraceConfig};
 
@@ -77,17 +75,6 @@ fn fleet_throughput(c: &mut Criterion) {
          speedup {:.2}x",
         seq / par,
     );
-    write_bench_report(
-        &BenchReport::new("fleet")
-            .metric("fleet_sim_s_per_s", HORIZON_S / seq.min(par))
-            .metric("fleet_parallel_speedup", seq / par)
-            .metric("wall_s_threads_1", seq)
-            .metric("wall_s_threads_max", par)
-            .metric_u64("threads_max", threads_max as u64)
-            .metric_u64("datacenters", DATACENTERS as u64)
-            .metric_u64("rows_per_datacenter", ROWS_PER_DC as u64),
-    );
-
     let mut group = c.benchmark_group("fleet_throughput");
     group.sample_size(10);
     group.bench_function("site_100rows_threads1", |b| {

@@ -4,29 +4,25 @@
 //! Mirrors `sim_throughput`'s dense half hour on a small row so the
 //! two engines' rate lines are directly comparable, and adds the
 //! split-pool topology (disaggregated prefill/decode with KV transfer
-//! over the interconnect). The `BENCH_serve.json` report carries the
-//! `serve_sim_s_per_s` metric that `ci.sh`'s bench-smoke step gates.
+//! over the interconnect).
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use polca::DisaggregationConfig;
-use polca_bench::write_bench_report;
 use polca_cluster::{ClusterSim, NoopController, RowConfig, SimConfig, SimReport};
-use polca_obs::{BenchReport, ObsLevel, ProfCounter, Recorder};
 use polca_sim::SimTime;
 use polca_trace::{ArrivalGenerator, TraceConfig};
 
 /// The `sim_throughput` half hour, served by the batched engine
 /// (aggregated pools or split prefill/decode).
-fn run_row(split: bool, recorder: Recorder) -> SimReport {
+fn run_row(split: bool) -> SimReport {
     let mut row = RowConfig::paper_inference_row();
     row.base_servers = 4;
     let config = TraceConfig::paper_mix(5, SimTime::from_mins(30.0)).scaled(0.12);
     let sim_config = SimConfig {
         engine: DisaggregationConfig::default().batched_engine(split),
-        recorder,
         ..SimConfig::default()
     };
     ClusterSim::new(row, sim_config, NoopController)
@@ -44,7 +40,7 @@ fn print_rate(name: &str, simulated_s: f64, events: u64, wall_s: f64) {
 
 fn batched_engine(c: &mut Criterion) {
     let start = Instant::now();
-    let report = run_row(false, Recorder::disabled());
+    let report = run_row(false);
     let wall = start.elapsed().as_secs_f64();
     print_rate(
         "serve_batched",
@@ -52,36 +48,17 @@ fn batched_engine(c: &mut Criterion) {
         report.events_processed,
         wall,
     );
-    // A second, fully-instrumented pass supplies the serve phase and
-    // counter breakdown; the throughput numbers stay uninstrumented.
-    let rec = Recorder::new(ObsLevel::Full);
-    let _ = run_row(false, rec.clone());
-    let snap = rec.prof().snapshot();
-    write_bench_report(
-        &BenchReport::new("serve")
-            .metric("serve_sim_s_per_s", report.duration.as_secs() / wall)
-            .metric("events_per_s", report.events_processed as f64 / wall)
-            .metric("wall_s", wall)
-            .metric_u64("events", report.events_processed)
-            .metric_u64("peak_batch", snap.counter(ProfCounter::ServePeakBatch))
-            .metric_u64(
-                "kv_peak_blocks",
-                snap.counter(ProfCounter::ServeKvPeakBlocks),
-            )
-            .metric_u64("preemptions", snap.counter(ProfCounter::ServePreemptions))
-            .phases(&snap),
-    );
     let mut group = c.benchmark_group("serve_throughput");
     group.sample_size(10);
     group.bench_function("batched_row_30min", |b| {
-        b.iter(|| black_box(run_row(false, Recorder::disabled()).completed))
+        b.iter(|| black_box(run_row(false).completed))
     });
     group.finish();
 }
 
 fn split_pools(c: &mut Criterion) {
     let start = Instant::now();
-    let report = run_row(true, Recorder::disabled());
+    let report = run_row(true);
     let wall = start.elapsed().as_secs_f64();
     print_rate(
         "serve_split_pools",
@@ -92,7 +69,7 @@ fn split_pools(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_throughput");
     group.sample_size(10);
     group.bench_function("split_pools_row_30min", |b| {
-        b.iter(|| black_box(run_row(true, Recorder::disabled()).completed))
+        b.iter(|| black_box(run_row(true).completed))
     });
     group.finish();
 }

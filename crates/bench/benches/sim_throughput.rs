@@ -15,11 +15,9 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use polca::{OversubscriptionStudy, PolicyKind};
-use polca_bench::write_bench_report;
 use polca_cluster::{
     ClusterSim, NoopController, RowConfig, SimConfig, SimReport, SiteConfig, SiteReport, SiteSim,
 };
-use polca_obs::{BenchReport, ObsLevel, ProfCounter, Recorder};
 use polca_sim::SimTime;
 use polca_trace::{ArrivalGenerator, TraceConfig};
 
@@ -27,20 +25,10 @@ use polca_trace::{ArrivalGenerator, TraceConfig};
 /// `cluster_sim_event_kernel` bench, kept separate so rate lines and
 /// timings stay comparable across runs).
 fn run_row() -> SimReport {
-    run_row_with(Recorder::disabled())
-}
-
-/// The same half hour with an attached recorder (the polca-prof pass
-/// behind the emitted `BENCH_sim.json` phase breakdown).
-fn run_row_with(recorder: Recorder) -> SimReport {
     let mut row = RowConfig::paper_inference_row();
     row.base_servers = 4;
     let config = TraceConfig::paper_mix(5, SimTime::from_mins(30.0)).scaled(0.12);
-    let sim_config = SimConfig {
-        recorder,
-        ..SimConfig::default()
-    };
-    ClusterSim::new(row, sim_config, NoopController)
+    ClusterSim::new(row, SimConfig::default(), NoopController)
         .run(ArrivalGenerator::new(&config), SimTime::from_mins(30.0))
 }
 
@@ -83,23 +71,6 @@ fn row_engine(c: &mut Criterion) {
         report.duration.as_secs(),
         report.events_processed,
         wall,
-    );
-    // A second, fully-instrumented pass supplies the per-phase ns and
-    // queue counters; the throughput numbers above stay uninstrumented.
-    let rec = Recorder::new(ObsLevel::Full);
-    let _ = run_row_with(rec.clone());
-    let snap = rec.prof().snapshot();
-    write_bench_report(
-        &BenchReport::new("sim")
-            .metric("sim_s_per_s", report.duration.as_secs() / wall)
-            .metric("events_per_s", report.events_processed as f64 / wall)
-            .metric("wall_s", wall)
-            .metric_u64("events", report.events_processed)
-            .metric_u64(
-                "peak_queue_depth",
-                snap.counter(ProfCounter::PeakQueueDepth),
-            )
-            .phases(&snap),
     );
     let mut group = c.benchmark_group("sim_throughput");
     group.sample_size(10);

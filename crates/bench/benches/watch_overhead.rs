@@ -15,14 +15,10 @@
 //!   does almost no work per event and the fixed per-tick watch cost is
 //!   maximally visible.
 
-use std::time::Instant;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use polca::{OversubscriptionStudy, PolcaPolicy, PolicyKind};
-use polca_bench::write_bench_report;
 use polca_cluster::{ClusterSim, NoopController, RowConfig, SimConfig};
-use polca_obs::BenchReport;
 use polca_obs::{ObsLevel, Recorder};
 use polca_sim::SimTime;
 use polca_telemetry::RowPowerTaps;
@@ -114,25 +110,6 @@ fn watch_overhead(c: &mut Criterion) {
         b.iter(|| black_box(kernel_run(true)))
     });
     group.finish();
-
-    // Machine-readable report: best-of-3 wall times on the study pair.
-    let mut study = paper_study();
-    let (mut base_s, mut watch_s) = (f64::MAX, f64::MAX);
-    for _ in 0..3 {
-        let start = Instant::now();
-        let _ = black_box(study_iter(&mut study, false));
-        base_s = base_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let _ = black_box(study_iter(&mut study, true));
-        watch_s = watch_s.min(start.elapsed().as_secs_f64());
-    }
-    write_bench_report(
-        &BenchReport::new("watch")
-            .metric("watch_runs_per_s", 1.0 / watch_s.max(1e-9))
-            .metric("wall_s_baseline", base_s)
-            .metric("wall_s_watch", watch_s)
-            .metric("overhead_pct", (watch_s - base_s) / base_s * 100.0),
-    );
 }
 
 criterion_group!(watch, watch_overhead);

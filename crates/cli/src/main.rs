@@ -4,11 +4,13 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let inv = match polca_cli::parse_args(args) {
+    let inv = match polca_cli::parse_args(args.iter().cloned()) {
         Ok(inv) => inv,
         Err(err) => {
+            // A bad flag shows its own subcommand's flags; a bad or
+            // missing subcommand shows them all.
             eprintln!("error: {err}");
-            eprint!("{}", polca_cli::HELP);
+            eprint!("{}", polca_cli::help(args.first().map(String::as_str)));
             return ExitCode::FAILURE;
         }
     };

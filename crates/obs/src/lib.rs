@@ -17,9 +17,7 @@
 //!   for optimisation work),
 //! * [`Profiler`] (polca-prof) — lock-free, self-time phase accounting
 //!   of the simulator's own hot paths, with an attribution table,
-//!   folded-stack/speedscope and Chrome-trace exports, and the
-//!   [`BenchReport`] machinery behind the `BENCH_*.json` perf
-//!   trajectory,
+//!   folded-stack/speedscope and Chrome-trace exports,
 //! * [`ReqSpan`]/[`ReqRecord`] (polca-req) — per-request lifecycle
 //!   tracing: TTFT, mean/max time-between-tokens, queue/recompute/KV
 //!   -shipping breakdowns, and a joules-per-token ledger, exported as
@@ -76,7 +74,7 @@ pub use energy::{
 pub use event::Event;
 pub use export::RunArtifacts;
 pub use metrics::{Label, MetricsRegistry, StreamingHistogram};
-pub use prof::{BenchReport, Phase, PhaseAgg, ProfCounter, ProfGuard, ProfSnapshot, Profiler};
+pub use prof::{Phase, PhaseAgg, ProfCounter, ProfGuard, ProfSnapshot, Profiler};
 pub use recorder::{EventTap, ObsLevel, QueueProbe, Recorder};
 pub use req::{ReqRecord, ReqSpan, ReqTraceConfig};
 pub use span::{SpanGuard, SpanStats};

@@ -35,15 +35,8 @@
 //! lives strictly outside the event log; the Prometheus export only
 //! includes call/occupancy counters, which are a pure function of the
 //! seed.
-//!
-//! [`BenchReport`] turns a profiled run into the `BENCH_*.json`
-//! perf-trajectory files (sim-s/s, events/s, ns/phase, peak queue
-//! depth) that `ci.sh`'s `bench-smoke` step gates against.
 
 use std::cell::RefCell;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
@@ -765,115 +758,6 @@ impl ProfSnapshot {
     }
 }
 
-/// Builder for the machine-readable `BENCH_*.json` perf-trajectory
-/// files.
-///
-/// The rendered JSON keeps every metric on its own line with plain
-/// fixed-point numbers (no exponents), so `ci.sh` can extract values
-/// with `grep`/`awk` instead of a JSON parser:
-///
-/// ```text
-/// {
-///   "bench": "sim",
-///   "sim_s_per_s": 8123456.789,
-///   ...
-///   "phase_self_ns": {
-///     "queue.push": 1234,
-///     ...
-///   }
-/// }
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BenchReport {
-    name: String,
-    metrics: Vec<(String, String)>,
-    phase_self_ns: Vec<(String, u64)>,
-}
-
-impl BenchReport {
-    /// A report named `name` (the file becomes `BENCH_{name}.json`).
-    pub fn new(name: &str) -> Self {
-        BenchReport {
-            name: name.to_string(),
-            ..BenchReport::default()
-        }
-    }
-
-    /// The report's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a floating-point metric (rendered with three decimals).
-    pub fn metric(mut self, key: &str, value: f64) -> Self {
-        let rendered = if value.is_finite() {
-            format!("{value:.3}")
-        } else {
-            "null".to_string()
-        };
-        self.metrics.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Appends an integer metric.
-    pub fn metric_u64(mut self, key: &str, value: u64) -> Self {
-        self.metrics.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Looks up a previously appended metric by key (parses back the
-    /// rendered value; `None` for absent keys or `null`).
-    pub fn get(&self, key: &str) -> Option<f64> {
-        self.metrics
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-    }
-
-    /// Attaches the per-phase ns breakdown of a profiled run.
-    pub fn phases(mut self, snapshot: &ProfSnapshot) -> Self {
-        for phase in Phase::ALL {
-            let a = snapshot.get(phase);
-            if a.calls > 0 {
-                self.phase_self_ns
-                    .push((phase.name().to_string(), a.self_ns));
-            }
-        }
-        self
-    }
-
-    /// The JSON document body.
-    pub fn to_json(&self) -> String {
-        let mut s = format!("{{\n  \"bench\": \"{}\"", esc(&self.name));
-        for (key, value) in &self.metrics {
-            s.push_str(&format!(",\n  \"{}\": {value}", esc(key)));
-        }
-        if !self.phase_self_ns.is_empty() {
-            s.push_str(",\n  \"phase_self_ns\": {");
-            let mut first = true;
-            for (name, ns) in &self.phase_self_ns {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str(&format!("\n    \"{}\": {ns}", esc(name)));
-            }
-            s.push_str("\n  }");
-        }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// Writes `BENCH_{name}.json` into `dir` (creating it) and returns
-    /// the path.
-    pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.name));
-        fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1075,45 +959,6 @@ mod tests {
         assert!(table.contains("row.dispatch"), "{table}");
         assert!(table.contains("90.0%"), "{table}");
         assert!((snap.coverage(1_000) - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bench_report_renders_greppable_json() {
-        let mut snap = ProfSnapshot::default();
-        snap.set(
-            Phase::QueuePush,
-            PhaseAgg {
-                calls: 5,
-                total_ns: 500,
-                self_ns: 450,
-                max_ns: 200,
-            },
-        );
-        let report = BenchReport::new("sim")
-            .metric("sim_s_per_s", 8_123_456.789)
-            .metric_u64("peak_queue_depth", 17)
-            .phases(&snap);
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"sim\""), "{json}");
-        assert!(json.contains("\"sim_s_per_s\": 8123456.789"), "{json}");
-        assert!(json.contains("\"peak_queue_depth\": 17"), "{json}");
-        assert!(json.contains("\"queue.push\": 450"), "{json}");
-        assert!(
-            !json.contains("e+") && !json.contains("e-"),
-            "no exponents: {json}"
-        );
-        assert_eq!(report.get("sim_s_per_s"), Some(8_123_456.789));
-
-        let dir = std::env::temp_dir().join(format!(
-            "polca-prof-bench-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = report.write(&dir).unwrap();
-        assert!(path.ends_with("BENCH_sim.json"));
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
