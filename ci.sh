@@ -75,6 +75,26 @@ for row in 0 1 2 3 4 5; do
 done
 grep -q 'datacenter="2"' "$site_seq/metrics.prom" \
     || { echo "no per-datacenter series in site metrics.prom"; exit 1; }
+
+echo "== polca-cli monitored site smoke test =="
+# The same site with budgets only monitored: no command can reach a
+# row, so rows run multi-window epochs between rendezvous. Site, row
+# and per-datacenter watch artifacts must match across --fleet-threads.
+mon_seq="$(scratch)"
+mon_par="$(scratch)"
+cargo run -q --offline --release -p polca-cli -- \
+    evaluate --trace-csv tests/golden/sample_trace.csv \
+    --rows 2 --datacenters 3 --servers 10 --watch \
+    --fleet-threads 1 --obs-out "$mon_seq" > /dev/null
+cargo run -q --offline --release -p polca-cli -- \
+    evaluate --trace-csv tests/golden/sample_trace.csv \
+    --rows 2 --datacenters 3 --servers 10 --watch \
+    --fleet-threads 2 --obs-out "$mon_par" > /dev/null
+for file in events.jsonl metrics.prom row{0..5}/events.jsonl dc{0..2}/incidents.jsonl; do
+    cmp "$mon_seq/$file" "$mon_par/$file" \
+        || { echo "monitored site $file differs across --fleet-threads"; exit 1; }
+done
+
 # --jobs and --fleet-threads are both accepted together: with --rows
 # and --datacenters this is the one-policy site-replay shape, which
 # steps rows on --fleet-threads and reads no --jobs (that drives only

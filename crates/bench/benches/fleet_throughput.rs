@@ -1,5 +1,6 @@
 //! `fleet_throughput`: wall-clock throughput of the multi-datacenter
-//! site simulator, sequential vs parallel row stepping.
+//! site simulator, sequential vs parallel row stepping, with budgets
+//! monitored and enforced.
 //!
 //! The workload is a 100-row site (25 datacenters × 4 rows behind
 //! 2-row PDUs) of small rows over a short horizon. The offline
@@ -7,10 +8,14 @@
 //! own rate lines:
 //!
 //! * `site_100rows` — simulated-seconds/sec and events/sec at
-//!   `threads = 1`,
-//! * the `threads = max` pass and the parallel speedup (≈1.0 on a
-//!   single-core runner — the determinism contract guarantees the
-//!   artifacts match either way, so the speedup is pure upside).
+//!   `threads = 1` with monitored budgets,
+//! * for each budget mode, the `threads = 1` and `threads = max` times
+//!   and the parallel speedup. Monitored budgets let rows run 256
+//!   windows between rendezvous; enforced budgets meet at every 2 s
+//!   window, so the pool pays two barrier waits per window. On a
+//!   2-core host, single runs of about 10 ms each measured 1.2–1.6×
+//!   monitored and 0.5–0.9× enforced. Artifacts match at any thread
+//!   count either way; only a speedup above 1.0 is a gain.
 
 use std::time::Instant;
 
@@ -31,14 +36,16 @@ fn bench_arrivals() -> Vec<Request> {
     ArrivalGenerator::new(&config).collect()
 }
 
-/// One site run at `threads` workers.
-fn run_site(requests: &[Request], threads: usize) -> SiteReport {
+/// One site run at `threads` workers, with budgets monitored or
+/// enforced.
+fn run_site(requests: &[Request], threads: usize, enforce_budgets: bool) -> SiteReport {
     let mut row = RowConfig::paper_inference_row();
     row.base_servers = 4;
     let site = SiteConfig {
         datacenters: DATACENTERS,
         rows_per_datacenter: ROWS_PER_DC,
         rows_per_pdu: 2,
+        enforce_budgets,
         threads,
         ..SiteConfig::default()
     };
@@ -56,33 +63,37 @@ fn fleet_throughput(c: &mut Criterion) {
     let requests = bench_arrivals();
     let threads_max = std::thread::available_parallelism().map_or(1, usize::from);
 
-    let start = Instant::now();
-    let report = run_site(&requests, 1);
-    let seq = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let par_report = run_site(&requests, threads_max);
-    let par = start.elapsed().as_secs_f64();
-    assert_eq!(report.completed(), par_report.completed());
-    println!(
-        "throughput site_100rows          {:>12.0} simulated-seconds/sec  {:>12.0} events/sec  \
-         ({} events over {HORIZON_S:.0} simulated s in {seq:.3} s)",
-        HORIZON_S / seq,
-        report.events_processed() as f64 / seq,
-        report.events_processed(),
-    );
-    println!(
-        "throughput site_100rows threads=1 {seq:.3} s  threads={threads_max} {par:.3} s  \
-         speedup {:.2}x",
-        seq / par,
-    );
+    for (budgets, enforce) in [("monitored", false), ("enforced", true)] {
+        let start = Instant::now();
+        let report = run_site(&requests, 1, enforce);
+        let seq = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let par_report = run_site(&requests, threads_max, enforce);
+        let par = start.elapsed().as_secs_f64();
+        assert_eq!(report.completed(), par_report.completed());
+        if !enforce {
+            println!(
+                "throughput site_100rows          {:>12.0} simulated-seconds/sec  {:>12.0} events/sec  \
+                 ({} events over {HORIZON_S:.0} simulated s in {seq:.3} s)",
+                HORIZON_S / seq,
+                report.events_processed() as f64 / seq,
+                report.events_processed(),
+            );
+        }
+        println!(
+            "throughput site_100rows {budgets:<9} threads=1 {seq:.3} s  \
+             threads={threads_max} {par:.3} s  speedup {:.2}x",
+            seq / par,
+        );
+    }
     let mut group = c.benchmark_group("fleet_throughput");
     group.sample_size(10);
     group.bench_function("site_100rows_threads1", |b| {
-        b.iter(|| black_box(run_site(&requests, 1).completed()))
+        b.iter(|| black_box(run_site(&requests, 1, false).completed()))
     });
     if threads_max > 1 {
         group.bench_function("site_100rows_threads_max", |b| {
-            b.iter(|| black_box(run_site(&requests, threads_max).completed()))
+            b.iter(|| black_box(run_site(&requests, threads_max, false).completed()))
         });
     }
     group.finish();

@@ -29,9 +29,9 @@
 //! * [`site`] — [`site::SiteSim`], the one multi-row driver: N
 //!   datacenters of M rows under a single power tree (rows → PDUs →
 //!   datacenters → site bus) with a monitored or enforced budget at
-//!   every node, stepped in lockstep telemetry windows by an optional
-//!   scoped thread pool with a deterministic canonical-order merge at
-//!   every boundary. The default [`site::SiteConfig`] is one row,
+//!   every node, stepped in lockstep epochs of telemetry windows by an
+//!   optional scoped thread pool with a deterministic canonical-order
+//!   merge at every boundary. The default [`site::SiteConfig`] is one row,
 //!   bit-identical to [`ClusterSim::run`],
 //! * [`training`] — the synchronized training-cluster power model behind
 //!   Table 4's training column.

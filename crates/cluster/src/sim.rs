@@ -1016,8 +1016,8 @@ impl<P: PowerController> ClusterSim<P> {
 /// queue, OOB control plane, delayed telemetry signal, RNG streams —
 /// and advances it in bounded time slices instead of straight to the
 /// horizon. That is what lets [`SiteSim`](crate::site::SiteSim)
-/// interleave N rows in lockstep (stepping each row one telemetry
-/// window at a time and inspecting aggregate power between windows)
+/// interleave N rows in lockstep (stepping each row from one telemetry
+/// window boundary to the next and inspecting aggregate power at each)
 /// while each row replays *exactly* the event sequence it would have
 /// seen in a solo [`ClusterSim::run`]: stepping to `t1` then `t2`
 /// processes the same events in the same order as stepping to `t2`
@@ -1138,10 +1138,10 @@ impl<P: PowerController, S: Iterator<Item = Request>> RowSim<P, S> {
     /// drained (the row will never act again unless a command is
     /// [`inject`](Self::inject)ed).
     ///
-    /// A site-level window scheduler uses this to build its per-window
-    /// work deque: a row whose next event lies beyond the window
-    /// boundary needs no `step_until` call at all — by construction it
-    /// would process zero events.
+    /// The site driver uses this to skip rows at a window boundary: a
+    /// row whose next event lies beyond the boundary needs no
+    /// `step_until` call at all — by construction it would process
+    /// zero events.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.sim.queue.peek_time()
     }

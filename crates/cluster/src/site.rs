@@ -23,45 +23,61 @@
 //! power sum their rows in row order; site power sums the datacenter
 //! sums.
 //!
-//! # Window/merge protocol
+//! # Epoch protocol
 //!
 //! Rows have fully independent state: their own event queue, RNG
 //! stream ([`row_seed`]), recorder cell, and OOB control plane. The
-//! site steps them in lockstep telemetry windows:
+//! site steps them in lockstep *epochs* of K telemetry windows. K is 1
+//! when budgets are enforced, because a brake decided at one boundary
+//! must reach its rows before the next window. K is `EPOCH_WINDOWS`
+//! (256 windows, 512 s at the default 2 s) when budgets are only
+//! monitored, because then no command can reach a row.
 //!
-//! 1. **Plan.** From the cached next-event time of every row, list the
-//!    rows with an event due at or before the boundary (an idle row
-//!    costs nothing — see `ProfCounter::FleetRowsSkipped`).
-//! 2. **Step.** Run `step_until(boundary)` on each due row. With one
-//!    thread the main thread walks the list in order; with more,
-//!    workers on a scoped pool claim rows off an atomic cursor. Rows
-//!    share no mutable state, so any claim order yields the same
-//!    per-row result. This is the only step that depends on the
-//!    thread count.
-//! 3. **Merge** (`fleet.merge` phase). The main thread refreshes the
-//!    per-row caches (next event time, instantaneous power) in
-//!    canonical row order.
-//! 4. **Observe** (`fleet.power_aggregation` phase, plus
-//!    `site.aggregate` for the site level). Still single-threaded,
-//!    walk the power tree level by level: record gauges and violation
-//!    events in node order and run each node's brake hysteresis; brake
-//!    commands are injected into the affected rows' queues before the
-//!    next window.
+//! 1. **Plan.** The main thread lists the epoch's boundaries, each
+//!    `min(previous + window, horizon)`, until K exist or the horizon
+//!    is reached.
+//! 2. **Step.** Workers on a persistent scoped pool claim whole rows
+//!    off an atomic cursor; the main thread claims too, and with one
+//!    thread it is the whole pool. Each row walks the boundaries
+//!    itself: it calls `step_until(boundary)` only if it has an event
+//!    due at or before the boundary (an idle row costs no step — see
+//!    `ProfCounter::FleetRowsSkipped`), then records its power and
+//!    whether it stepped in its epoch buffer. Rows share no mutable
+//!    state, so any claim order yields the same per-row result. This
+//!    is the only step that depends on the thread count.
+//! 3. **Rendezvous.** The pool meets at one barrier pair per epoch.
+//! 4. **Observe.** Boundary by boundary, the main thread gathers the
+//!    rows' samples in canonical row order (`fleet.merge` phase, once
+//!    per window), then walks the power tree level by level
+//!    (`fleet.power_aggregation` phase, plus `site.aggregate` for the
+//!    site level): it records gauges and violation events in node
+//!    order and runs each node's brake hysteresis. Brake commands are
+//!    injected into the affected rows' queues before the next epoch,
+//!    which under enforcement is the next window.
 //!
 //! # Determinism argument
 //!
-//! Everything emitted into the *site-level* recorder happens in steps
-//! 3–4 on the main thread, in row/PDU/datacenter index order — the
-//! thread pool never touches it. Everything a *row* emits goes to that
-//! row's private recorder, and a row's trajectory over a window is a
-//! pure function of its state at the previous boundary (plus injected
-//! commands, which are decided in step 4 from merged state only). So
-//! `threads = 1` and `threads = K` produce byte-identical artifacts;
-//! `tests/site_sim.rs` pins this with proptests.
+//! Everything emitted into the *site-level* recorder happens in step 4
+//! on the main thread, in boundary order and then row/PDU/datacenter
+//! index order — the thread pool never touches it. Everything a *row*
+//! emits goes to that row's private recorder, and a row's trajectory
+//! through an epoch is a pure function of its state at the epoch start
+//! (plus injected commands, which are decided in step 4 from gathered
+//! samples only). So `threads = 1` and `threads = N` produce
+//! byte-identical artifacts; `tests/site_sim.rs` pins this with
+//! proptests under both budget modes.
+//!
+//! The epoch length cannot be observed either. Whatever K is, a row
+//! makes the same `step_until` calls at the same boundaries, its power
+//! at a boundary is read after exactly the events up to it, and step 4
+//! calls the monitor with the same arguments at every boundary. The
+//! only thing a longer epoch could change is when a command arrives,
+//! and with monitored budgets there are none. The
+//! `epoch_length_is_unobservable` unit test pins this.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::{Barrier, Mutex, MutexGuard, RwLock};
 
 use polca_obs::{Event, Label, Phase, ProfCounter, Recorder};
 use polca_sim::SimTime;
@@ -99,9 +115,41 @@ pub fn row_seed(site_seed: u64, row: usize) -> u64 {
 /// a dispatcher.
 type RowFeed = std::vec::IntoIter<Request>;
 
-/// One row engine driving its owned feed, behind the lock that lets
-/// pool workers claim it.
-type RowCell<P> = Mutex<RowSim<P, RowFeed>>;
+/// Windows per epoch when budgets are only monitored. No command can
+/// reach a row then, so a row may run this many windows past the last
+/// rendezvous; under enforcement an epoch is one window.
+pub(crate) const EPOCH_WINDOWS: usize = 256;
+
+/// One row engine driving its owned feed, plus its samples at the
+/// current epoch's boundaries.
+struct RowSlot<P> {
+    engine: RowSim<P, RowFeed>,
+    /// Row power at each boundary of the epoch.
+    watts: Vec<f64>,
+    /// Whether the row had an event due (and was stepped) at each
+    /// boundary of the epoch.
+    stepped: Vec<bool>,
+}
+
+impl<P: PowerController> RowSlot<P> {
+    /// Walks the epoch's boundaries: steps to each one at or before
+    /// which the row has an event due, then samples its power.
+    fn step_epoch(&mut self, boundaries: &[SimTime]) {
+        self.watts.clear();
+        self.stepped.clear();
+        for &b in boundaries {
+            let due = self.engine.next_event_time().is_some_and(|at| at <= b);
+            if due {
+                self.engine.step_until(b);
+            }
+            self.watts.push(self.engine.row_power_watts());
+            self.stepped.push(due);
+        }
+    }
+}
+
+/// A row slot behind the lock that lets pool workers claim it.
+type RowCell<P> = Mutex<RowSlot<P>>;
 
 /// Splits `source` across `n` rows by strict round-robin: request `k`
 /// goes to row `k % n`, preserving per-row arrival order, so a 1-row
@@ -122,10 +170,23 @@ fn brake_request(on: bool) -> ControlRequest {
     }
 }
 
-/// Locks a row engine. The lock is poisoned only if a worker panicked
+/// Locks a row slot. The lock is poisoned only if a worker panicked
 /// mid-step, which leaves the row's state unusable.
-fn lock<P>(cell: &RowCell<P>) -> MutexGuard<'_, RowSim<P, RowFeed>> {
+fn lock<P>(cell: &RowCell<P>) -> MutexGuard<'_, RowSlot<P>> {
     cell.lock().expect("row engine poisoned")
+}
+
+/// Claims whole rows off the shared cursor and steps each through the
+/// epoch's boundaries. Runs on every pool thread, main included.
+fn step_claimed<P: PowerController>(
+    cells: &[RowCell<P>],
+    plan: &RwLock<Vec<SimTime>>,
+    cursor: &AtomicUsize,
+) {
+    let boundaries = plan.read().expect("epoch plan poisoned");
+    while let Some(cell) = cells.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+        lock(cell).step_epoch(&boundaries);
+    }
 }
 
 /// Site-level simulator knobs, wrapping the per-row [`SimConfig`].
@@ -606,79 +667,12 @@ impl SiteMonitor {
     fn any_level_braking(&self, row: usize) -> bool {
         (0..self.state.len()).any(|level| self.state[level].braked[self.tree.node_of(level, row)])
     }
-
-    /// The window loop: plan, step (`step(boundary, due_rows)`, the only
-    /// part that depends on the thread count), merge, observe, inject.
-    fn run_windows<P: PowerController>(
-        &mut self,
-        cells: &[RowCell<P>],
-        window: SimTime,
-        horizon: SimTime,
-        mut step: impl FnMut(SimTime, &[usize]),
-    ) {
-        let n = cells.len();
-        let mut next_at: Vec<Option<SimTime>> =
-            cells.iter().map(|c| lock(c).next_event_time()).collect();
-        let mut row_watts: Vec<f64> = cells.iter().map(|c| lock(c).row_power_watts()).collect();
-        let mut due: Vec<usize> = Vec::with_capacity(n);
-        let mut t = SimTime::ZERO;
-        loop {
-            let target = (t + window).min(horizon);
-            due.clear();
-            due.extend((0..n).filter(|&i| next_at[i].is_some_and(|at| at <= target)));
-            step(target, &due);
-            {
-                let _m = self.obs.prof().time(Phase::FleetMerge);
-                for &i in &due {
-                    let row = lock(&cells[i]);
-                    next_at[i] = row.next_event_time();
-                    row_watts[i] = row.row_power_watts();
-                }
-            }
-            t = target;
-            for (row, on) in self.observe(t, &row_watts, due.len()) {
-                let mut r = lock(&cells[row]);
-                r.inject(t, brake_request(on));
-                next_at[row] = r.next_event_time();
-            }
-            if t >= horizon {
-                break;
-            }
-        }
-    }
-}
-
-/// A window's work deque: the boundary time plus the rows with a due
-/// event, claimed index-by-index off an atomic cursor by the workers.
-struct WindowPlan {
-    target: SimTime,
-    due: Vec<usize>,
-}
-
-/// Claims due rows off the shared cursor and steps each to the window
-/// boundary. Runs on every pool thread, main included.
-fn drain_due<P: PowerController>(
-    cells: &[RowCell<P>],
-    plan: &Mutex<WindowPlan>,
-    cursor: &AtomicUsize,
-) {
-    loop {
-        let k = cursor.fetch_add(1, Ordering::Relaxed);
-        let (target, row) = {
-            let p = plan.lock().expect("window plan poisoned");
-            match p.due.get(k) {
-                Some(&row) => (p.target, row),
-                None => break,
-            }
-        };
-        lock(&cells[row]).step_until(target);
-    }
 }
 
 /// N datacenters of M lockstep row engines under the site power tree,
 /// optionally stepped by a scoped worker pool.
 ///
-/// See the [module docs](self) for the window/merge protocol and the
+/// See the [module docs](self) for the epoch protocol and the
 /// determinism contract. Controller construction is a factory so every
 /// row gets an independent policy instance (policies carry mutable
 /// per-row state).
@@ -740,7 +734,11 @@ impl<P: PowerController> SiteSim<P> {
             cfg.oob_taps = site.base.oob_taps.for_row(i);
             let controller = make_controller(i, &recorder);
             let engine = ClusterSim::new(row.clone(), cfg, controller).into_row_sim(feed, horizon);
-            rows.push(Mutex::new(engine));
+            rows.push(Mutex::new(RowSlot {
+                engine,
+                watts: Vec::new(),
+                stepped: Vec::new(),
+            }));
             row_recorders.push(recorder);
         }
         SiteSim {
@@ -756,19 +754,90 @@ impl<P: PowerController> SiteSim<P> {
 
     /// Runs every row to the horizon, aggregating power at each
     /// telemetry-window boundary, and returns the site report.
-    pub fn run(mut self) -> SiteReport {
-        let threads = self.threads.clamp(1, self.rows.len());
-        if threads == 1 {
-            let cells = &self.rows;
-            self.monitor
-                .run_windows(cells, self.window, self.horizon, |target, due| {
-                    for &i in due {
-                        lock(&cells[i]).step_until(target);
-                    }
-                });
+    pub fn run(self) -> SiteReport {
+        let epoch_windows = if self.monitor.enforce {
+            1
         } else {
-            self.run_pooled(threads);
-        }
+            EPOCH_WINDOWS
+        };
+        self.run_epochs(epoch_windows)
+    }
+
+    /// The epoch loop: plan `epoch_windows` boundaries, step every row
+    /// through them on `threads - 1` persistent scoped workers plus the
+    /// main thread (claiming whole rows off an atomic cursor), meet at
+    /// one barrier pair, then observe boundary by boundary in canonical
+    /// row order and inject brake toggles. Spawning once for the whole
+    /// run keeps the per-epoch cost at two barrier waits; one thread is
+    /// the same pool with no workers.
+    ///
+    /// An epoch longer than one window is only correct when no toggle
+    /// can arise, i.e. when budgets are monitored only.
+    pub(crate) fn run_epochs(mut self, epoch_windows: usize) -> SiteReport {
+        let threads = self.threads.clamp(1, self.rows.len());
+        let plan = RwLock::new(Vec::with_capacity(epoch_windows));
+        let cursor = AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        // Without workers there is nobody to meet; skipping the wait
+        // also skips its wake-up system call.
+        let barrier = (threads > 1).then(|| Barrier::new(threads));
+        let rendezvous = || {
+            if let Some(barrier) = &barrier {
+                barrier.wait();
+            }
+        };
+        let (cells, plan, cursor, done) = (&self.rows, &plan, &cursor, &done);
+        let (monitor, window, horizon) = (&mut self.monitor, self.window, self.horizon);
+        std::thread::scope(|s| {
+            for _ in 1..threads {
+                s.spawn(move || loop {
+                    rendezvous();
+                    if done.load(Ordering::Acquire) {
+                        return;
+                    }
+                    step_claimed(cells, plan, cursor);
+                    rendezvous();
+                });
+            }
+            let mut row_watts = vec![0.0; cells.len()];
+            let mut t = SimTime::ZERO;
+            let mut finished = false;
+            while !finished {
+                {
+                    let mut boundaries = plan.write().expect("epoch plan poisoned");
+                    boundaries.clear();
+                    while boundaries.len() < epoch_windows && !finished {
+                        t = (t + window).min(horizon);
+                        boundaries.push(t);
+                        finished = t >= horizon;
+                    }
+                }
+                cursor.store(0, Ordering::Relaxed);
+                rendezvous();
+                step_claimed(cells, plan, cursor);
+                rendezvous();
+                let mut rows: Vec<_> = cells.iter().map(lock).collect();
+                let boundaries = plan.read().expect("epoch plan poisoned");
+                for (k, &b) in boundaries.iter().enumerate() {
+                    let stepped = {
+                        let _m = monitor.obs.prof().time(Phase::FleetMerge);
+                        let mut stepped = 0;
+                        for (w, row) in row_watts.iter_mut().zip(&rows) {
+                            *w = row.watts[k];
+                            stepped += usize::from(row.stepped[k]);
+                        }
+                        stepped
+                    };
+                    let toggles = monitor.observe(b, &row_watts, stepped);
+                    debug_assert!(epoch_windows == 1 || toggles.is_empty());
+                    for (row, on) in toggles {
+                        rows[row].engine.inject(b, brake_request(on));
+                    }
+                }
+            }
+            done.store(true, Ordering::Release);
+            rendezvous();
+        });
         let tree = &self.monitor.tree;
         let [pdus, dcs, site] = self.monitor.state;
         SiteReport {
@@ -784,7 +853,10 @@ impl<P: PowerController> SiteSim<P> {
             rows: self
                 .rows
                 .into_iter()
-                .map(|cell| cell.into_inner().expect("row engine poisoned").finish())
+                .map(|cell| {
+                    let slot = cell.into_inner().expect("row engine poisoned");
+                    slot.engine.finish()
+                })
                 .collect(),
             row_recorders: self.row_recorders,
             pdu_peak_watts: pdus.peak,
@@ -797,49 +869,6 @@ impl<P: PowerController> SiteSim<P> {
             duration: self.horizon,
         }
     }
-
-    /// Steps the window loop on `threads - 1` persistent scoped
-    /// workers plus the main thread, which claim due rows off an atomic
-    /// cursor and rendezvous at barriers so merge/observe stay
-    /// single-threaded. Spawning once for the whole run (not per
-    /// window) keeps the per-window cost at two barrier waits.
-    fn run_pooled(&mut self, threads: usize) {
-        let plan = Mutex::new(WindowPlan {
-            target: SimTime::ZERO,
-            due: Vec::new(),
-        });
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicBool::new(false);
-        let barrier = Barrier::new(threads);
-        let (cells, plan, cursor, done, barrier) = (&self.rows, &plan, &cursor, &done, &barrier);
-        std::thread::scope(|s| {
-            for _ in 1..threads {
-                s.spawn(move || loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        return;
-                    }
-                    drain_due(cells, plan, cursor);
-                    barrier.wait();
-                });
-            }
-            self.monitor
-                .run_windows(cells, self.window, self.horizon, |target, due| {
-                    {
-                        let mut p = plan.lock().expect("window plan poisoned");
-                        p.target = target;
-                        p.due.clear();
-                        p.due.extend_from_slice(due);
-                    }
-                    cursor.store(0, Ordering::Relaxed);
-                    barrier.wait();
-                    drain_due(cells, plan, cursor);
-                    barrier.wait();
-                });
-            done.store(true, Ordering::Release);
-            barrier.wait();
-        });
-    }
 }
 
 #[cfg(test)]
@@ -847,6 +876,7 @@ mod tests {
     use super::*;
     use crate::sim::NoopController;
     use polca_obs::ObsLevel;
+    use polca_telemetry::{RowPowerTaps, RowTickBuffer};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -982,6 +1012,51 @@ mod tests {
         assert!(!a.events.is_empty());
         assert_eq!(a.events_jsonl(), b.events_jsonl());
         assert_eq!(a.metrics_prometheus(), b.metrics_prometheus());
+    }
+
+    #[test]
+    fn epoch_length_is_unobservable() {
+        // A monitored 2 × 3 site over a horizon that is a multiple of
+        // neither the window nor any epoch, so the last epoch is short
+        // and ends in a fractional window.
+        let run = |epoch_windows: usize| {
+            let mut cfg = site_config(2, 3, 2);
+            let buffer = RowTickBuffer::new(6);
+            let mut taps = RowPowerTaps::new();
+            taps.subscribe(buffer.clone());
+            cfg.base.oob_taps = taps;
+            let obs = cfg.base.recorder.clone();
+            let mut report = SiteSim::new(
+                small_row(),
+                cfg,
+                |_, _: &Recorder| NoopController,
+                mixed_requests(120).into_iter(),
+                t(901.0),
+            )
+            .run_epochs(epoch_windows);
+            let rows: Vec<String> = std::mem::take(&mut report.row_recorders)
+                .iter()
+                .map(|r| {
+                    let a = r.artifacts();
+                    [a.events_jsonl(), a.metrics_prometheus(), a.requests_jsonl()].concat()
+                })
+                .collect();
+            let ticks: Vec<_> = (0..6).map(|r| buffer.take_row(r)).collect();
+            let site = obs.artifacts();
+            let site = (site.events_jsonl(), site.metrics_prometheus());
+            (format!("{report:?}"), site, rows, ticks)
+        };
+        let one = run(1);
+        let (_, (_, site_prom), _, ticks) = &one;
+        // 450 whole windows and the trailing 1 s one.
+        assert!(site_prom.contains("phase=\"fleet.merge\"} 451"));
+        assert!(ticks.iter().all(|col| !col.is_empty()));
+        for epoch_windows in [7, EPOCH_WINDOWS] {
+            assert!(
+                run(epoch_windows) == one,
+                "epoch of {epoch_windows} windows"
+            );
+        }
     }
 
     #[test]

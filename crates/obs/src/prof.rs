@@ -83,9 +83,9 @@ pub enum Phase {
     /// Continuous-batching admission: chunked-prefill selection and
     /// waiting-queue scheduling (polca-serve).
     ServeSchedule,
-    /// Site window boundary: canonical-order merge of per-row state
-    /// (next event times, instantaneous powers) after the parallel
-    /// step, before budgets are evaluated.
+    /// Site window boundary: canonical-order gather of the rows' power
+    /// samples at the boundary from their epoch buffers, before budgets
+    /// are evaluated.
     FleetMerge,
     /// Site-level aggregation: datacenter/site power roll-up and
     /// budget checks above the single-datacenter fleet path.
@@ -207,9 +207,9 @@ pub enum ProfCounter {
     /// High-water mark of running sequences (prefilling + decoding) on
     /// any one server of the batched engine (merged by max).
     ServePeakBatch,
-    /// Row-windows *skipped* by the due-event work deque: rows whose
-    /// next queued event lies beyond the window boundary pay nothing
-    /// instead of a no-op scan.
+    /// Row-windows *skipped* by the due-event rule: rows whose next
+    /// queued event lies beyond the window boundary make no
+    /// `step_until` call.
     FleetRowsSkipped,
 }
 

@@ -10,7 +10,8 @@
 //!   attributed to individual requests, on both engines,
 //! * the bundled 24 h grid-intensity trace round-trips exactly
 //!   through `CarbonTrace::{from_csv_str, to_csv}` and samples with
-//!   hold-and-wrap semantics,
+//!   hold-and-wrap semantics, and the CSV reader never panics on
+//!   arbitrary bytes,
 //! * the `energy_*` / `carbon_*` Prometheus exposition of a known
 //!   ledger is pinned byte-for-byte against a golden file.
 
@@ -258,4 +259,87 @@ fn known_ledger_rolls_up_exactly() {
     assert_eq!(ledger.datacenters.len(), 2);
     assert_eq!(ledger.datacenters[0].1.facility_wh, 120.0);
     assert_eq!(ledger.datacenters[1].1.facility_wh, 300.0);
+}
+
+/// Pieces of a carbon CSV — header names, separators, quotes, line
+/// ends, hours and intensities in and out of range, non-finite
+/// spellings — that the fuzz input mixes with arbitrary single bytes.
+const CARBON_FRAGMENTS: &[&str] = &[
+    "hour",
+    "carbon_g_per_kwh",
+    ",",
+    "\n",
+    "\r\n",
+    "\"",
+    " ",
+    "0",
+    "1",
+    "23",
+    "-1",
+    "0.5",
+    "1e305",
+    "1e309",
+    "nan",
+    "0,100\n",
+    "2,400\n",
+    "7.5,250\n",
+    "23,0\n",
+];
+
+/// Arbitrary bytes (ASCII-only in half the inputs), mixed one to seven
+/// with fragments, half the time behind a valid header.
+fn carbon_csv_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let piece = (any::<u8>(), 0..CARBON_FRAGMENTS.len(), 0u8..8);
+    let pieces = prop::collection::vec(piece, 0..32);
+    (any::<bool>(), any::<bool>(), pieces).prop_map(|(header, ascii, pieces)| {
+        let mut out = if header {
+            b"hour,carbon_g_per_kwh\n".to_vec()
+        } else {
+            Vec::new()
+        };
+        for (byte, fragment, pick) in pieces {
+            match pick {
+                0 if ascii => out.push(byte & 0x7f),
+                0 => out.push(byte),
+                _ => out.extend_from_slice(CARBON_FRAGMENTS[fragment].as_bytes()),
+            }
+        }
+        out
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The carbon reader never panics: arbitrary bytes parse into a
+    /// trace whose lookups are finite and non-negative at any time, or
+    /// fail with an error naming the offending line (or, for a trace
+    /// that parsed but is unusable, the offending point).
+    #[test]
+    fn arbitrary_bytes_parse_or_fail_with_a_line(
+        bytes in carbon_csv_bytes(),
+        t_s in -1e9..1e9f64,
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        match CarbonTrace::from_csv_str(&text) {
+            Ok(trace) => {
+                for t in [0.0, t_s, f64::MAX] {
+                    let g = trace.g_per_kwh(t);
+                    prop_assert!(g.is_finite() && g >= 0.0, "g_per_kwh({}) = {}", t, g);
+                }
+            }
+            Err(e) => {
+                let line = e
+                    .strip_prefix("line ")
+                    .and_then(|rest| rest.split(':').next())
+                    .and_then(|n| n.parse::<usize>().ok());
+                let lines = text.lines().count();
+                prop_assert!(
+                    line.is_some_and(|l| (1..=lines).contains(&l)) || e.starts_with("carbon csv: "),
+                    "{}",
+                    e
+                );
+            }
+        }
+    }
 }

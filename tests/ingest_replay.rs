@@ -8,7 +8,8 @@ use std::path::Path;
 use polca::{PolcaController, PolcaPolicy, PolicyKind, TraceEvaluation};
 use polca_cluster::{ClusterSim, RowConfig, SimConfig};
 use polca_ingest::{
-    requests_to_csv, IngestedTrace, ReplayOptions, TraceCalibration, TraceReplay, TraceStats,
+    requests_to_csv, IngestError, IngestedTrace, ReplayOptions, TraceCalibration, TraceReplay,
+    TraceStats,
 };
 use polca_obs::{ObsLevel, Recorder};
 use polca_sim::{SimRng, SimTime};
@@ -262,6 +263,101 @@ mod proptests {
             let trace = IngestedTrace::from_reader(csv.as_bytes()).unwrap();
             let replayed: Vec<_> = TraceReplay::new(&trace).collect();
             prop_assert_eq!(replayed, requests);
+        }
+    }
+
+    /// Pieces of the CSV the reader expects — header names,
+    /// separators, quotes, line ends, counts at and past the token
+    /// range, datetimes, priorities, non-finite spellings — that the
+    /// fuzz input mixes with arbitrary single bytes.
+    const FRAGMENTS: &[&str] = &[
+        "TIMESTAMP",
+        "ContextTokens",
+        "GeneratedTokens",
+        "priority",
+        ",",
+        "\n",
+        "\r\n",
+        "\"",
+        " ",
+        "0",
+        "7",
+        "-3",
+        "1.5e3",
+        "4294967295",
+        "4294967296",
+        "1e309",
+        "nan",
+        "2024-05-10 00:00:38.7",
+        "2024-02-30T01:02:03",
+        "high",
+        "low",
+        "12.5,100,20,low\n",
+        "3,5,9\n",
+    ];
+    const HEADER: &str = "timestamp_s,context_tokens,generated_tokens,priority\n";
+
+    /// Arbitrary bytes (ASCII-only in half the inputs, so most are
+    /// UTF-8), mixed one to three with fragments, half the time behind
+    /// a valid header so the row parser and the replay see input too.
+    fn csv_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let piece = (any::<u8>(), 0..FRAGMENTS.len(), 0u8..4);
+        let pieces = prop::collection::vec(piece, 0..48);
+        (any::<bool>(), any::<bool>(), pieces).prop_map(|(header, ascii, pieces)| {
+            let mut out = if header {
+                HEADER.as_bytes().to_vec()
+            } else {
+                Vec::new()
+            };
+            for (byte, fragment, pick) in pieces {
+                match pick {
+                    0 if ascii => out.push(byte & 0x7f),
+                    0 => out.push(byte),
+                    _ => out.extend_from_slice(FRAGMENTS[fragment].as_bytes()),
+                }
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The reader never panics: arbitrary bytes ingest, or fail
+        /// with a typed error; every skipped row names a line of the
+        /// input; an ingested trace replays one request per record in
+        /// arrival order.
+        #[test]
+        fn arbitrary_bytes_ingest_or_fail_typed(input in csv_bytes()) {
+            let lines = input.split(|&b| b == b'\n').count();
+            match IngestedTrace::from_reader(&input[..]) {
+                Ok(trace) => {
+                    prop_assert!(!trace.is_empty());
+                    for e in trace.row_errors() {
+                        let line = e
+                            .strip_prefix("line ")
+                            .and_then(|rest| rest.split(':').next())
+                            .and_then(|n| n.parse::<usize>().ok());
+                        prop_assert!(line.is_some_and(|l| (2..=lines).contains(&l)), "{}", e);
+                    }
+                    let replayed: Vec<_> = TraceReplay::new(&trace).collect();
+                    prop_assert_eq!(replayed.len(), trace.len());
+                    prop_assert!(replayed.windows(2).all(|w| w[0].arrival <= w[1].arrival));
+                }
+                Err(IngestError::Io(e)) => {
+                    prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                }
+                Err(e) => prop_assert!(
+                    matches!(
+                        e,
+                        IngestError::EmptyInput
+                            | IngestError::MissingColumn { .. }
+                            | IngestError::NoRecords
+                    ),
+                    "{}",
+                    e
+                ),
+            }
         }
     }
 }

@@ -4,8 +4,9 @@
 //!   stepped on 4 worker threads produces byte-identical
 //!   `events.jsonl`, `requests.jsonl`, `metrics.prom`, and
 //!   `incidents.jsonl` to the same site stepped sequentially, at any
-//!   seed — even with budget enforcement injecting brake commands
-//!   mid-run,
+//!   seed — both with budget enforcement injecting brake commands
+//!   mid-run (one-window epochs) and with monitored budgets (rows run
+//!   whole multi-window epochs between rendezvous),
 //! * hierarchy budget math: a parent-level `BudgetViolation` is never
 //!   emitted unless the sum of its children's powers at that sample
 //!   actually exceeds the parent cap, and every budget follows the
@@ -37,8 +38,8 @@ fn arrivals(seed: u64) -> Vec<Request> {
 const HORIZON: f64 = 20.0 * 60.0 + 600.0;
 
 /// One full site run at `threads` workers: a 2 × 2 site with tight
-/// enforced budgets (so OOB brake commands are injected mid-run) and
-/// a buffering watch tap. Returns every artifact surface the
+/// budgets (when `enforce`d, OOB brake commands are injected mid-run)
+/// and a buffering watch tap. Returns every artifact surface the
 /// determinism contract covers.
 struct SiteRun {
     site_events: String,
@@ -48,7 +49,7 @@ struct SiteRun {
     incidents: Vec<String>,
 }
 
-fn run_site(seed: u64, threads: usize) -> SiteRun {
+fn run_site(seed: u64, threads: usize, enforce: bool) -> SiteRun {
     let recorder = Recorder::new(ObsLevel::Full).with_req_trace(ReqTraceConfig { sample: 1 });
     let row = small_row();
     let mut site = SiteConfig {
@@ -56,11 +57,12 @@ fn run_site(seed: u64, threads: usize) -> SiteRun {
         rows_per_datacenter: 2,
         rows_per_pdu: 2,
         // Tight caps at every level so enforcement engages and
-        // releases repeatedly during the run.
+        // releases repeatedly during the run, and monitoring records
+        // violations.
         pdu_budget_watts: Some(row.provisioned_watts() * 1.1),
         datacenter_budget_watts: Some(row.provisioned_watts() * 1.4),
         site_budget_watts: Some(row.provisioned_watts() * 2.6),
-        enforce_budgets: true,
+        enforce_budgets: enforce,
         threads,
         ..SiteConfig::default()
     };
@@ -120,20 +122,23 @@ proptest! {
 
     /// Tentpole invariant: the worker-pool schedule is invisible —
     /// every artifact byte matches between sequential and 4-thread
-    /// stepping, with enforcement brakes firing mid-run.
+    /// stepping, with enforcement brakes firing mid-run and with
+    /// monitored budgets stepped in multi-window epochs.
     #[test]
     fn parallel_site_artifacts_are_byte_identical(seed in 0u64..500) {
-        let seq = run_site(seed, 1);
-        let par = run_site(seed, 4);
-        prop_assert!(!seq.site_events.is_empty());
-        prop_assert_eq!(&seq.site_events, &par.site_events);
-        prop_assert_eq!(&seq.site_prom, &par.site_prom);
-        for i in 0..seq.row_events.len() {
-            prop_assert!(!seq.row_events[i].is_empty());
-            prop_assert_eq!(&seq.row_events[i], &par.row_events[i]);
-            prop_assert_eq!(&seq.row_requests[i], &par.row_requests[i]);
+        for enforce in [true, false] {
+            let seq = run_site(seed, 1, enforce);
+            let par = run_site(seed, 4, enforce);
+            prop_assert!(!seq.site_events.is_empty());
+            prop_assert_eq!(&seq.site_events, &par.site_events);
+            prop_assert_eq!(&seq.site_prom, &par.site_prom);
+            for i in 0..seq.row_events.len() {
+                prop_assert!(!seq.row_events[i].is_empty());
+                prop_assert_eq!(&seq.row_events[i], &par.row_events[i]);
+                prop_assert_eq!(&seq.row_requests[i], &par.row_requests[i]);
+            }
+            prop_assert_eq!(&seq.incidents, &par.incidents);
         }
-        prop_assert_eq!(&seq.incidents, &par.incidents);
     }
 
     /// Hierarchy budget math: a parent violation is only ever emitted
