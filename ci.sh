@@ -3,7 +3,7 @@
 # environment — run this before pushing). Mirrors the checks a hosted
 # workflow would run, entirely offline:
 #
-#   ./ci.sh          # fmt + clippy + full test suite
+#   ./ci.sh          # fmt + clippy + every test of every workspace crate
 #   ./ci.sh quick    # fmt + clippy + unit tests only (skips the
 #                    # multi-day end-to-end simulations)
 set -euo pipefail
@@ -19,7 +19,7 @@ echo "== cargo test =="
 if [[ "${1:-}" == "quick" ]]; then
     cargo test -q --offline --workspace --lib --bins
 else
-    cargo test -q --offline
+    cargo test -q --offline --workspace
 fi
 
 echo "== cargo bench --no-run =="
@@ -52,6 +52,12 @@ for row in row0 row1 row2 row3; do
 done
 [[ -f "$fleet_out/metrics.json" ]] \
     || { echo "missing fleet-level metrics.json"; exit 1; }
+# polca-prof is the one wall-clock profiler: the trace read is a phase
+# in prof.json, and no separate span profile is written.
+grep -q '"ingest.read"' "$fleet_out/prof.json" \
+    || { echo "no ingest.read phase in fleet prof.json"; exit 1; }
+[[ ! -e "$fleet_out/profile.json" ]] \
+    || { echo "fleet run wrote a stray profile.json"; exit 1; }
 
 echo "== polca-cli site smoke test =="
 # Determinism gate for the parallel site simulator: a 3-datacenter

@@ -714,8 +714,9 @@ impl Obs {
     /// level. Site watch planes replay buffered power only, so `--watch`
     /// leaves the synthetic site shape's level alone; the replay site
     /// shape is raised all the same, as it always was, which keeps its
-    /// artifacts unchanged. `--profile` raises only the single-row
-    /// synthetic shape, the one that prints the attribution table.
+    /// artifacts unchanged. `--profile` is accepted only on the
+    /// single-row synthetic shape (see [`evaluate`]), the one that
+    /// prints the attribution table.
     fn resolve(inv: &Invocation, synthetic: bool, site: bool) -> Result<Obs, CliError> {
         let out: Option<String> = inv.opt("obs-out");
         let mut level = match inv.opt::<String>("obs-level") {
@@ -731,7 +732,7 @@ impl Obs {
         if energy.is_some() {
             level = level.max(ObsLevel::Metrics);
         }
-        if inv.has("profile") && synthetic && !site {
+        if inv.has("profile") {
             level = level.max(ObsLevel::Full);
         }
         let mut recorder = Recorder::new(level);
@@ -794,11 +795,20 @@ fn policy(inv: &Invocation) -> Result<PolicyKind, CliError> {
 
 /// `evaluate` has four shapes: the synthetic workload or a `--trace-csv`
 /// replay, each on one row or on a site (`--rows`/`--datacenters`).
+/// Only the single-row synthetic shape prints the `--profile` table, so
+/// the other three reject the flag before anything runs.
 fn evaluate(inv: &Invocation) -> Result<(), CliError> {
     let rows: usize = inv.get("rows");
     let datacenters: usize = inv.get("datacenters");
-    let site = (rows > 1 || datacenters > 1).then(|| site_config(inv, rows, datacenters));
     let replay: Option<String> = inv.opt("trace-csv");
+    let is_site = rows > 1 || datacenters > 1;
+    if inv.has("profile") && (replay.is_some() || is_site) {
+        return Err(CliError::BadValue {
+            flag: "profile".into(),
+            value: "needs the single-row synthetic shape".into(),
+        });
+    }
+    let site = is_site.then(|| site_config(inv, rows, datacenters));
     let obs = Obs::resolve(inv, replay.is_none(), site.is_some())?;
     match (replay, site) {
         (None, None) => evaluate_row(inv, obs),
@@ -1438,9 +1448,16 @@ mod tests {
             &["evaluate", "--rows", "2", "--site-budget-mw", "nan"],
             &["evaluate", "--rows", "2", "--site-budget-mw", "-2"],
             &["evaluate", "--rows", "2", "--site-budget-mw", "inf"],
+            // These ran, silently printing no attribution table.
+            &["evaluate", "--trace-csv", csv, "--profile"],
+            &["evaluate", "--rows", "2", "--profile"],
         ];
         for argv in cases {
-            let flag = argv[argv.len() - 2].trim_start_matches("--");
+            let flag = argv
+                .iter()
+                .rev()
+                .find_map(|a| a.strip_prefix("--"))
+                .expect("each case names a flag");
             let result = parse_args(args(argv)).and_then(|inv| run(&inv));
             assert!(
                 matches!(&result, Err(CliError::BadValue { flag: f, .. }) if f == flag),

@@ -265,7 +265,7 @@ impl OversubscriptionStudy {
     }
 
     /// Attaches an observability recorder. Policy runs started after
-    /// this call record events, metrics, and profiling spans into it;
+    /// this call record events, metrics, and polca-prof phases into it;
     /// the cached reference run stays un-instrumented so the event log
     /// does not depend on whether the reference was already warm.
     pub fn set_recorder(&mut self, recorder: Recorder) {
@@ -297,7 +297,7 @@ impl OversubscriptionStudy {
     /// at the 2 s row-telemetry resolution so that 40 s spikes are
     /// visible (the scheduling profile itself is minute-grained).
     pub fn trained_thresholds(&self) -> ThresholdTrainer {
-        let _span = self.recorder.time("study.threshold_training");
+        let _phase = self.recorder.prof().time(Phase::ThresholdTraining);
         let train_days = self.days.min(7.0);
         let fine = production_reference(&self.row, train_days, 2.0, self.seed);
         ThresholdTrainer::from_trace(&fine, self.row.provisioned_watts())
@@ -336,9 +336,9 @@ impl OversubscriptionStudy {
 
     /// The synthesized arrival trace for `added_fraction`, materialized
     /// once and shared by every subsequent cell at the same level. The
-    /// `study.trace_synthesis` span fires only on cache misses, so its
-    /// count equals the number of *distinct* oversubscription levels a
-    /// sweep visits, not the number of cells.
+    /// `study.trace_synthesis` phase fires only on cache misses, so its
+    /// call count equals the number of *distinct* oversubscription
+    /// levels a sweep visits, not the number of cells.
     fn cached_arrivals(&self, added_fraction: f64, obs: &Recorder) -> Arc<Vec<Request>> {
         let mut cache = self.trace_cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(trace) = cache.get(&added_fraction.to_bits()) {
@@ -347,7 +347,6 @@ impl OversubscriptionStudy {
         }
         obs.prof().count(ProfCounter::TraceCacheMisses, 1);
         let trace = {
-            let _span = obs.time("study.trace_synthesis");
             let _phase = obs.prof().time(Phase::TraceSynthesis);
             Arc::new(ArrivalGenerator::new(&self.trace(added_fraction)).collect::<Vec<Request>>())
         };
@@ -594,12 +593,17 @@ mod tests {
         // The 0.0 level was already materialized by the (un-instrumented)
         // reference run, so this is a cache hit too.
         s.run(PolicyKind::NoCap, 0.0, 1.0);
-        let spans = s.recorder().artifacts().spans;
-        let synth = spans.get("study.trace_synthesis").expect("span recorded");
+        let prof = s.recorder().artifacts().prof;
         assert_eq!(
-            synth.count, 1,
+            prof.get(Phase::TraceSynthesis).calls,
+            1,
             "one synthesis for four runs at two levels (0.30 cached, 0.0 warmed by the reference)"
         );
+        // Threshold training is timed as its own phase, once per call.
+        assert_eq!(prof.get(Phase::ThresholdTraining).calls, 0);
+        s.trained_thresholds();
+        let prof = s.recorder().artifacts().prof;
+        assert_eq!(prof.get(Phase::ThresholdTraining).calls, 1);
     }
 
     #[test]

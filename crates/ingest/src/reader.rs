@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-use polca_obs::{Label, Recorder};
+use polca_obs::{Label, Phase, Recorder};
 
 use crate::error::IngestError;
 use crate::schema::{
@@ -239,7 +239,7 @@ impl IngestedTrace {
         reader: TraceReader<R>,
         recorder: &Recorder,
     ) -> Result<Self, IngestError> {
-        let _span = recorder.time("ingest.read");
+        let _phase = recorder.prof().time(Phase::IngestRead);
         let mut records = Vec::new();
         let mut skipped = 0usize;
         let mut row_errors = Vec::new();

@@ -14,15 +14,14 @@
 //! | `power.csv`       | `t_s,watts` timeseries from power samples        |
 //! | `latency.csv`     | per-request completion latencies                 |
 //! | `trace.json`      | Chrome trace-event JSON (Perfetto-loadable)      |
-//! | `profile.json`    | wall-clock span timings (non-deterministic)      |
 //! | `prof.json`       | polca-prof phase/counter totals (non-determ.)    |
 //! | `prof.folded`     | collapsed stacks for speedscope/flamegraph       |
 //! | `prof.trace.json` | the phase breakdown as a Perfetto track          |
 //!
-//! Everything except `profile.json` and the wall-clock `prof.*`
-//! artifacts is a pure function of the event log and metrics, which
-//! are themselves sim-deterministic — so with a fixed seed, re-running
-//! a simulation reproduces those files byte-for-byte. (`metrics.prom`
+//! Everything except the wall-clock `prof.*` artifacts is a pure
+//! function of the event log and metrics, which are themselves
+//! sim-deterministic — so with a fixed seed, re-running a simulation
+//! reproduces those files byte-for-byte. (`metrics.prom`
 //! keeps that property: it only ever includes the deterministic subset
 //! of the profile — call and occupancy counters, never nanoseconds.)
 //!
@@ -40,7 +39,6 @@ use crate::metrics::MetricsRegistry;
 use crate::prof::ProfSnapshot;
 use crate::recorder::ObsLevel;
 use crate::req::{self, ReqRecord};
-use crate::span::SpanStats;
 
 /// Renders a table as CSV: a header row followed by one line per row,
 /// RFC-4180-quoting any cell containing a comma, quote, or newline.
@@ -90,8 +88,6 @@ pub struct RunArtifacts {
     pub events: Vec<Event>,
     /// Final metric series.
     pub metrics: MetricsRegistry,
-    /// Wall-clock span aggregates (empty below [`ObsLevel::Full`]).
-    pub spans: SpanStats,
     /// polca-req lifecycle records for sampled completed requests
     /// (empty unless request tracing was on at [`ObsLevel::Events`]+).
     pub requests: Vec<ReqRecord>,
@@ -206,11 +202,6 @@ impl RunArtifacts {
         lanes
     }
 
-    /// Wall-clock span timings as JSON.
-    pub fn profile_json(&self) -> String {
-        self.spans.to_json()
-    }
-
     /// polca-prof phase/counter totals as JSON (`prof.json` body).
     pub fn prof_json(&self) -> String {
         self.prof.to_json()
@@ -238,8 +229,8 @@ impl RunArtifacts {
     /// * `ObsLevel::Events` → plus `events.jsonl`, `power.csv`,
     ///   `latency.csv`, `trace.json` (and `requests.jsonl` when
     ///   request tracing is on)
-    /// * `ObsLevel::Full` → plus `profile.json`, `prof.json`,
-    ///   `prof.folded`, `prof.trace.json`
+    /// * `ObsLevel::Full` → plus `prof.json`, `prof.folded`,
+    ///   `prof.trace.json`
     pub fn write_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         fs::create_dir_all(dir)?;
         let mut written = Vec::new();
@@ -268,7 +259,6 @@ impl RunArtifacts {
             put("trace.json", self.chrome_trace_json())?;
         }
         if self.level.profiling_enabled() {
-            put("profile.json", self.profile_json())?;
             put("prof.json", self.prof_json())?;
             put("prof.folded", self.prof_folded())?;
             put("prof.trace.json", self.prof_chrome_json())?;
@@ -300,7 +290,6 @@ mod tests {
                 },
             ],
             metrics,
-            spans: SpanStats::default(),
             requests: Vec::new(),
             req_trace: false,
             energy_rows: Vec::new(),
@@ -357,9 +346,9 @@ mod tests {
 
         a.level = ObsLevel::Full;
         let files = a.write_dir(&dir).unwrap();
-        assert_eq!(files.len(), 10);
+        assert_eq!(files.len(), 9);
         assert!(dir.join("trace.json").exists());
-        assert!(dir.join("profile.json").exists());
+        assert!(!dir.join("profile.json").exists());
         assert!(dir.join("prof.json").exists());
         assert!(dir.join("prof.folded").exists());
         assert!(dir.join("prof.trace.json").exists());

@@ -1,14 +1,14 @@
 //! polca-prof: lock-free self-profiling of the simulator's hot paths.
 //!
-//! [`SpanStats`](crate::SpanStats) answers coarse questions (how long
-//! did the event loop take?) but records through the shared
-//! mutex-guarded core, which is far too heavy for per-event
-//! instrumentation. This module is the fine-grained sibling: a fixed
-//! alphabet of [`Phase`]s (event-queue push/pop, request dispatch,
-//! telemetry ticks, controller evaluation, power aggregation, recorder
-//! I/O, …) accumulated into plain atomics, so an enabled profiler
-//! costs two `Instant::now()` calls and a handful of relaxed atomic
-//! adds per phase entry, and a disabled one costs a single branch.
+//! This is the workspace's one wall-clock profiler. It never touches
+//! the recorder's mutex-guarded core: a fixed alphabet of [`Phase`]s
+//! (event-queue push/pop, request dispatch, telemetry ticks, controller
+//! evaluation, power aggregation, trace synthesis, trace ingest,
+//! threshold training, recorder I/O, …) is accumulated into plain
+//! atomics, so an enabled profiler costs two `Instant::now()` calls and
+//! a handful of relaxed atomic adds per phase entry, and a disabled one
+//! costs a single branch. Coarse one-shot stages (ingest, training,
+//! synthesis) and per-event work share the same accounting.
 //!
 //! Accounting is *self-time* based: a thread-local stack of guard
 //! frames subtracts time spent in nested phases from the enclosing
@@ -31,8 +31,8 @@
 //! * deterministic counter series appended to `metrics.prom`
 //!   ([`ProfSnapshot::to_prometheus`]).
 //!
-//! Like span timings, wall-clock phase data is non-deterministic and
-//! lives strictly outside the event log; the Prometheus export only
+//! Wall-clock phase data is non-deterministic and lives strictly
+//! outside the event log; the Prometheus export only
 //! includes call/occupancy counters, which are a pure function of the
 //! seed.
 
@@ -90,10 +90,16 @@ pub enum Phase {
     /// Site-level aggregation: datacenter/site power roll-up and
     /// budget checks above the single-datacenter fleet path.
     SiteAggregation,
+    /// Reading and validating a request-log CSV into an ingested trace
+    /// (once per ingest).
+    IngestRead,
+    /// Training the dual POLCA thresholds on the study's fine-grained
+    /// reference trace (once per training call).
+    ThresholdTraining,
 }
 
 /// Number of [`Phase`] variants (the accumulator array length).
-pub const PHASE_COUNT: usize = 16;
+pub const PHASE_COUNT: usize = 18;
 
 impl Phase {
     /// Every phase, in discriminant order.
@@ -114,6 +120,8 @@ impl Phase {
         Phase::ServeSchedule,
         Phase::FleetMerge,
         Phase::SiteAggregation,
+        Phase::IngestRead,
+        Phase::ThresholdTraining,
     ];
 
     /// Short dotted name used in tables, JSON, and Prometheus labels.
@@ -135,6 +143,8 @@ impl Phase {
             Phase::ServeSchedule => "serve.schedule",
             Phase::FleetMerge => "fleet.merge",
             Phase::SiteAggregation => "site.aggregate",
+            Phase::IngestRead => "ingest.read",
+            Phase::ThresholdTraining => "study.threshold_training",
         }
     }
 
@@ -161,6 +171,8 @@ impl Phase {
             Phase::ServeSchedule => "row.step;serve.iteration;schedule",
             Phase::FleetMerge => "fleet.window;merge",
             Phase::SiteAggregation => "fleet.window;site_aggregate",
+            Phase::IngestRead => "ingest;read",
+            Phase::ThresholdTraining => "study;threshold_training",
         }
     }
 }
@@ -526,24 +538,6 @@ impl ProfSnapshot {
         self.phases.iter().map(|p| p.self_ns).sum()
     }
 
-    /// Folds `other` into `self` with [`Profiler::merge_from`]
-    /// semantics.
-    pub fn merge_from(&mut self, other: &ProfSnapshot) {
-        for (dst, src) in self.phases.iter_mut().zip(other.phases.iter()) {
-            dst.calls += src.calls;
-            dst.total_ns += src.total_ns;
-            dst.self_ns += src.self_ns;
-            dst.max_ns = dst.max_ns.max(src.max_ns);
-        }
-        for (i, c) in ProfCounter::ALL.iter().enumerate() {
-            if c.merges_by_max() {
-                self.counters[i] = self.counters[i].max(other.counters[i]);
-            } else {
-                self.counters[i] += other.counters[i];
-            }
-        }
-    }
-
     /// Batched-tick occupancy: mean rows advanced per fleet lockstep
     /// window (`None` outside fleet runs).
     pub fn batched_tick_occupancy(&self) -> Option<f64> {
@@ -553,8 +547,7 @@ impl ProfSnapshot {
 
     /// The `prof.json` body: per-phase totals (entered phases only)
     /// plus every derived counter. Wall-clock values, so
-    /// non-deterministic — kept out of the event log like
-    /// `profile.json`.
+    /// non-deterministic — kept out of the event log.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"phases\": [");
         let mut first = true;
@@ -746,16 +739,6 @@ impl ProfSnapshot {
         ));
         s
     }
-
-    /// Fraction of `wall_ns` the profiled phases account for (0 when
-    /// wall is zero).
-    pub fn coverage(&self, wall_ns: u64) -> f64 {
-        if wall_ns == 0 {
-            0.0
-        } else {
-            self.total_self_ns() as f64 / wall_ns as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -845,24 +828,6 @@ mod tests {
         assert_eq!(a.snapshot().get(Phase::Dispatch).calls, 2);
         a.merge_from(&Profiler::disabled());
         assert_eq!(a.snapshot().get(Phase::Dispatch).calls, 2);
-    }
-
-    #[test]
-    fn snapshot_merge_matches_profiler_merge() {
-        let a = Profiler::new(true);
-        let b = Profiler::new(true);
-        {
-            let _g = a.time(Phase::QueuePush);
-        }
-        {
-            let _g = b.time(Phase::QueuePop);
-        }
-        a.record_max(ProfCounter::PeakQueueDepth, 3);
-        b.record_max(ProfCounter::PeakQueueDepth, 8);
-        let mut merged = a.snapshot();
-        merged.merge_from(&b.snapshot());
-        a.merge_from(&b);
-        assert_eq!(merged, a.snapshot());
     }
 
     #[test]
@@ -958,7 +923,6 @@ mod tests {
         let table = snap.attribution_table(1_000);
         assert!(table.contains("row.dispatch"), "{table}");
         assert!(table.contains("90.0%"), "{table}");
-        assert!((snap.coverage(1_000) - 0.9).abs() < 1e-9);
     }
 
     #[test]

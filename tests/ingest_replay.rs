@@ -11,7 +11,7 @@ use polca_ingest::{
     requests_to_csv, IngestError, IngestedTrace, ReplayOptions, TraceCalibration, TraceReplay,
     TraceStats,
 };
-use polca_obs::{ObsLevel, Recorder};
+use polca_obs::{ObsLevel, Phase, Recorder};
 use polca_sim::{SimRng, SimTime};
 use polca_trace::{ArrivalGenerator, DiurnalPattern, RateSchedule, TraceConfig, WorkloadClass};
 
@@ -187,7 +187,8 @@ fn sample_extrapolates_to_a_longer_horizon() {
 
 /// Messy real-world CSV: permuted snake_case headers, quoted fields,
 /// malformed rows, blank lines — ingestion keeps the good rows and
-/// line-numbers the bad ones.
+/// line-numbers the bad ones, and a profiling recorder times the read
+/// as one `ingest.read` phase.
 #[test]
 fn messy_csv_ingests_with_line_numbered_diagnostics() {
     let csv = "\
@@ -200,7 +201,9 @@ oops,low,2024-05-10 00:00:03.000000,900
 99,low,not-a-date,700
 77,low,2024-05-10 00:00:06.000000,0
 ";
-    let trace = IngestedTrace::from_reader(csv.as_bytes()).unwrap();
+    let recorder = Recorder::new(ObsLevel::Full);
+    let trace = IngestedTrace::from_reader_observed(csv.as_bytes(), &recorder).unwrap();
+    assert_eq!(recorder.prof().snapshot().get(Phase::IngestRead).calls, 1);
     assert_eq!(trace.len(), 3);
     assert_eq!(trace.skipped_rows(), 3);
     assert!(trace.rebased());
