@@ -138,6 +138,12 @@ for f in incidents.jsonl report.md metrics.prom trace.json; do
 done
 grep -q '^# Watch report' "$watch_out/report.md"
 grep -q '^# TYPE ' "$watch_out/metrics.prom"
+# trace.json streams to disk: it must end with the closing line (an
+# unflushed or cut-short stream does not) and carry the alert markers.
+[[ "$(tail -n 1 "$watch_out/trace.json")" == '],"displayTimeUnit":"ms"}' ]] \
+    || { echo "trace.json does not end with its closing line"; exit 1; }
+grep -q '"alert:' "$watch_out/trace.json" \
+    || { echo "no watch alert marker in trace.json"; exit 1; }
 # Every incident line must be a JSON object with the lifecycle fields.
 if [[ -s "$watch_out/incidents.jsonl" ]]; then
     grep -vq '^{"id":' "$watch_out/incidents.jsonl" \
@@ -175,6 +181,11 @@ cargo run -q --offline --release -p polca-cli -- \
     evaluate --engine batched --req-trace --days 0.02 --obs-out "$req_out"
 [[ -s "$req_out/requests.jsonl" ]] \
     || { echo "req-trace wrote no requests.jsonl"; exit 1; }
+# The stream must end with a complete record and its newline.
+tail -n 1 "$req_out/requests.jsonl" | grep -q '^{"id":.*}$' \
+    || { echo "requests.jsonl ends mid-record"; exit 1; }
+[[ -z "$(tail -c 1 "$req_out/requests.jsonl")" ]] \
+    || { echo "requests.jsonl lacks its final newline"; exit 1; }
 # Every record must carry the lifecycle + energy schema fields.
 for field in '"id"' '"priority"' '"queue_s"' '"ttft_s"' '"tbt_mean_s"' \
              '"tbt_max_s"' '"preemptions"' '"joules"' '"joules_per_token"' \

@@ -39,7 +39,8 @@ use polca_ingest::{
 };
 use polca_llm::{InferenceConfig, InferenceModel, ModelSpec};
 use polca_obs::{
-    CarbonSignal, CarbonTrace, EnergyPlan, ObsLevel, ProfCounter, Recorder, ReqTraceConfig,
+    Annotation, CarbonSignal, CarbonTrace, EnergyPlan, ObsLevel, ProfCounter, Recorder,
+    ReqTraceConfig,
 };
 use polca_sim::{SimRng, SimTime};
 use polca_telemetry::{merge_tick_columns, RowPowerTaps, RowTickBuffer};
@@ -381,7 +382,7 @@ fn parse_energy(inv: &Invocation) -> Result<Option<EnergyPlan>, CliError> {
 /// Prints the per-datacenter energy/carbon ledger table for a finished
 /// run, if an energy plan was attached and produced any rows.
 fn print_energy_summary(recorder: &Recorder, completed: u64, indent: &str) {
-    let ledger = recorder.artifacts().energy_ledger();
+    let ledger = recorder.energy_ledger();
     if ledger.is_empty() {
         return;
     }
@@ -435,21 +436,21 @@ fn print_energy_summary(recorder: &Recorder, completed: u64, indent: &str) {
 
 /// One-line digest of a finished req-trace run.
 fn print_req_summary(recorder: &Recorder, indent: &str) {
-    let run = recorder.artifacts();
-    if !run.req_trace {
+    if !recorder.req_enabled() {
         return;
     }
-    let n = run.requests.len();
+    let (n, joules, tokens) = recorder.with_requests(|requests| {
+        let joules: f64 = requests.iter().map(|r| r.joules).sum();
+        let tokens: f64 = requests
+            .iter()
+            .map(|r| f64::from(r.output_tokens.max(1)))
+            .sum();
+        (requests.len(), joules, tokens)
+    });
     if n == 0 {
         println!("{indent}req-trace: 0 request record(s) sampled");
         return;
     }
-    let joules: f64 = run.requests.iter().map(|r| r.joules).sum();
-    let tokens: f64 = run
-        .requests
-        .iter()
-        .map(|r| f64::from(r.output_tokens.max(1)))
-        .sum();
     println!(
         "{indent}req-trace: {n} request record(s) sampled, \
          {:.1} J/request, {:.2} J/token (busy power, sampled set)",
@@ -523,26 +524,18 @@ fn print_watch_summary(artifacts: &WatchArtifacts, indent: &str) {
     }
 }
 
-/// Writes `incidents.jsonl` + `report.md` into `dir` and re-renders
-/// `trace.json` with the watch plane's alert/incident instant markers.
+/// Writes `incidents.jsonl` + `report.md` into `dir`; the watch
+/// plane's alert/incident markers went into `trace.json` when
+/// [`Obs::write`] wrote it.
 fn write_watch_artifacts(
     recorder: &Recorder,
     artifacts: &WatchArtifacts,
     dir: &str,
 ) -> Result<(), CliError> {
-    let dir_path = Path::new(dir);
     let files = artifacts
-        .write_dir(dir_path)
+        .write_dir(Path::new(dir))
         .map_err(|e| CliError::Io(e.to_string()))?;
-    let run = recorder.artifacts();
-    let annotated = run.level.events_enabled();
-    if annotated {
-        std::fs::write(
-            dir_path.join("trace.json"),
-            run.chrome_trace_json_with(&artifacts.annotations()),
-        )
-        .map_err(|e| CliError::Io(e.to_string()))?;
-    }
+    let annotated = recorder.level().events_enabled();
     println!(
         "  watch artifacts: {} file(s) in {}/{}",
         files.len(),
@@ -750,13 +743,14 @@ impl Obs {
         })
     }
 
-    /// Writes the recorder's artifacts into `--obs-out`, if given. A
-    /// site run also writes each row's artifacts into `DIR/rowN/`
-    /// (global row index, flat across datacenters), and the site-level
-    /// `prof.json` aggregates every row's profile (plus the window
-    /// loop's own merge and power-aggregation phases) so one file
-    /// answers "where did the whole site run spend its time".
-    fn write(&self, site: Option<&SiteReport>) -> Result<(), CliError> {
+    /// Writes the recorder's artifacts into `--obs-out`, if given, with
+    /// `annotations` (a watch plane's markers) merged into
+    /// `trace.json`. A site run also writes each row's artifacts into
+    /// `DIR/rowN/` (global row index, flat across datacenters), and
+    /// the site-level `prof.json` aggregates every row's profile (plus
+    /// the window loop's own merge and power-aggregation phases) so one
+    /// file answers "where did the whole site run spend its time".
+    fn write(&self, site: Option<&SiteReport>, annotations: &[Annotation]) -> Result<(), CliError> {
         let Some(dir) = &self.out else {
             return Ok(());
         };
@@ -766,7 +760,7 @@ impl Obs {
         }
         let mut total = self
             .recorder
-            .write_dir(Path::new(dir))
+            .write_dir_annotated(Path::new(dir), annotations)
             .map_err(|e| CliError::Io(e.to_string()))?
             .len();
         for (i, rec) in rows.iter().enumerate() {
@@ -877,13 +871,18 @@ fn evaluate_row(inv: &Invocation, obs: Obs) -> Result<(), CliError> {
             println!("    {line}");
         }
     }
-    obs.write(None)?;
-    if let Some(plane) = &watch {
+    let watched = watch.map(|plane| {
         recorder.clear_tap();
-        let artifacts = plane.finalize(SimTime::from_days(days));
-        print_watch_summary(&artifacts, "  ");
+        plane.finalize(SimTime::from_days(days))
+    });
+    let annotations = watched
+        .as_ref()
+        .map_or_else(Vec::new, WatchArtifacts::annotations);
+    obs.write(None, &annotations)?;
+    if let Some(artifacts) = &watched {
+        print_watch_summary(artifacts, "  ");
         if let Some(dir) = &obs.out {
-            write_watch_artifacts(recorder, &artifacts, dir)?;
+            write_watch_artifacts(recorder, artifacts, dir)?;
         }
     }
     Ok(())
@@ -979,7 +978,7 @@ fn run_site(
         }
         print_energy_summary(&obs.recorder, report.completed(), "  ");
     }
-    obs.write(Some(&report))?;
+    obs.write(Some(&report), &[])?;
     // Each datacenter's buffered, canonically-merged OOB power stream
     // replays through its own watch plane, in global row order within
     // the datacenter, so the incident set is byte-identical whatever
@@ -1150,7 +1149,10 @@ fn evaluate_trace(
     // On the multi-policy panel the ledger aggregates every cell (each
     // run contributes one row-0 account, merged in canonical order).
     print_energy_summary(recorder, 0, "  ");
-    obs.write(None)?;
+    let annotations = first_watch
+        .as_ref()
+        .map_or_else(Vec::new, |(_, artifacts)| artifacts.annotations());
+    obs.write(None, &annotations)?;
     if let (Some(dir), Some((kind, artifacts))) = (&obs.out, &first_watch) {
         println!("  watch artifacts below are from the {} run", kind.name());
         write_watch_artifacts(recorder, artifacts, dir)?;

@@ -16,9 +16,11 @@
 //! the end of the log are closed at the last observed timestamp.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::io::{self, Write};
 
 use crate::event::Event;
-use crate::json::{esc, num};
+use crate::json::{render, Esc, Num};
 
 const PID: u32 = 1;
 
@@ -35,45 +37,75 @@ pub struct Annotation {
     pub detail: String,
 }
 
+/// A Chrome trace-event document being streamed into a sink:
+/// [`begin`](Self::begin) writes the header, [`entry`](Self::entry)
+/// the separator before each event object, and
+/// [`finish`](Self::finish) the footer.
+pub struct TraceEvents<'w, W: Write> {
+    w: &'w mut W,
+    first: bool,
+}
+
+impl<'w, W: Write> TraceEvents<'w, W> {
+    /// Writes the document header.
+    pub fn begin(w: &'w mut W) -> io::Result<Self> {
+        w.write_all(b"{\"traceEvents\":[\n")?;
+        Ok(TraceEvents { w, first: true })
+    }
+
+    /// Starts the next event: returns the sink to write its one JSON
+    /// object into.
+    pub fn entry(&mut self) -> io::Result<&mut W> {
+        if !self.first {
+            self.w.write_all(b",\n")?;
+        }
+        self.first = false;
+        Ok(self.w)
+    }
+
+    /// Writes the document footer.
+    pub fn finish(self) -> io::Result<()> {
+        self.w.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
+    }
+}
+
 /// Builds a complete Chrome trace JSON document from an event log.
 pub fn trace_json(events: &[Event]) -> String {
-    trace_json_annotated(events, &[])
+    render(|w| write_trace(w, events, &[], |_| Ok(())))
 }
 
-/// Like [`trace_json`] but appends `annotations` as instant events on
-/// the cluster track (tid 0). With an empty slice the output is
-/// byte-identical to [`trace_json`].
-pub fn trace_json_annotated(events: &[Event], annotations: &[Annotation]) -> String {
-    trace_json_with_extra(events, annotations, &[])
-}
-
-/// Like [`trace_json_annotated`] but also appends pre-rendered
-/// trace-event lines (the polca-req request lanes) after the
-/// annotations. With empty slices the output is byte-identical to
-/// [`trace_json`].
-pub fn trace_json_with_extra(
+/// Writes the Chrome trace document for `events` into `w`, with
+/// `annotations` as instant events on the cluster track (tid 0) and
+/// whatever `lanes` adds (the polca-req request lanes, the
+/// polca-energy counters) after them. With no annotations and no
+/// lanes the output is [`trace_json`]'s.
+pub fn write_trace<W: Write>(
+    w: &mut W,
     events: &[Event],
     annotations: &[Annotation],
-    extra: &[String],
-) -> String {
-    let mut out: Vec<String> = Vec::new();
+    lanes: impl FnOnce(&mut TraceEvents<'_, W>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut doc = TraceEvents::begin(w)?;
     let t_end = events.iter().map(Event::t).fold(0.0_f64, f64::max);
 
     // Metadata: process name plus one named thread per referenced server.
-    out.push(format!(
+    write!(
+        doc.entry()?,
         "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"polca-sim\"}}}}"
-    ));
-    out.push(format!(
+    )?;
+    write!(
+        doc.entry()?,
         "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"name\":\"thread_name\",\"args\":{{\"name\":\"cluster\"}}}}"
-    ));
+    )?;
     let mut servers: Vec<usize> = events.iter().filter_map(Event::server).collect();
     servers.sort_unstable();
     servers.dedup();
     for s in &servers {
-        out.push(format!(
+        write!(
+            doc.entry()?,
             "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"server-{s}\"}}}}",
             tid(*s)
-        ));
+        )?;
     }
 
     // Open-span state, keyed for deterministic flush order at the end.
@@ -102,44 +134,48 @@ pub fn trace_json_with_extra(
                 let (t0, srv, pri) = open_requests
                     .remove(request)
                     .unwrap_or((*t, *server, priority));
-                out.push(complete_span(
+                complete_span(
+                    &mut doc,
                     "req",
                     "request",
                     tid(srv),
                     t0,
                     *t,
-                    &format!("{{\"request\":{request},\"priority\":\"{}\"}}", esc(pri)),
-                ));
+                    format_args!("{{\"request\":{request},\"priority\":\"{}\"}}", Esc(pri)),
+                )?;
             }
             Event::RequestQueued { t, request, .. } => {
-                out.push(instant(
+                instant(
+                    &mut doc,
                     "queued",
                     0,
                     *t,
-                    &format!("{{\"request\":{request}}}"),
-                ));
+                    format_args!("{{\"request\":{request}}}"),
+                )?;
             }
             Event::RequestRejected { t, request, .. } => {
-                out.push(instant(
+                instant(
+                    &mut doc,
                     "rejected",
                     0,
                     *t,
-                    &format!("{{\"request\":{request}}}"),
-                ));
+                    format_args!("{{\"request\":{request}}}"),
+                )?;
             }
             Event::CapApplied { t, server, mhz } => {
                 open_caps.entry(*server).or_insert((*t, *mhz));
             }
             Event::Uncap { t, server } => {
                 if let Some((t0, mhz)) = open_caps.remove(server) {
-                    out.push(complete_span(
+                    complete_span(
+                        &mut doc,
                         "cap",
                         "power",
                         tid(*server),
                         t0,
                         *t,
-                        &format!("{{\"mhz\":{}}}", num(mhz)),
-                    ));
+                        format_args!("{{\"mhz\":{}}}", Num(mhz)),
+                    )?;
                 }
             }
             Event::PowerCapApplied { t, server, watts } => {
@@ -147,72 +183,87 @@ pub fn trace_json_with_extra(
             }
             Event::PowerCapCleared { t, server } => {
                 if let Some((t0, watts)) = open_power_caps.remove(server) {
-                    out.push(complete_span(
+                    complete_span(
+                        &mut doc,
                         "powercap",
                         "power",
                         tid(*server),
                         t0,
                         *t,
-                        &format!("{{\"watts\":{}}}", num(watts)),
-                    ));
+                        format_args!("{{\"watts\":{}}}", Num(watts)),
+                    )?;
                 }
             }
             Event::BrakeEngaged { t, server, on } => {
                 if *on {
                     open_brakes.entry(*server).or_insert(*t);
                 } else if let Some(t0) = open_brakes.remove(server) {
-                    out.push(complete_span("brake", "power", tid(*server), t0, *t, "{}"));
+                    complete_span(
+                        &mut doc,
+                        "brake",
+                        "power",
+                        tid(*server),
+                        t0,
+                        *t,
+                        format_args!("{{}}"),
+                    )?;
                 }
             }
             Event::OobCommandSent {
                 t, server, command, ..
             } => {
-                out.push(instant(
+                instant(
+                    &mut doc,
                     "oob_sent",
                     tid(*server),
                     *t,
-                    &format!("{{\"command\":{command}}}"),
-                ));
+                    format_args!("{{\"command\":{command}}}"),
+                )?;
             }
             Event::OobCommandLost {
                 t, server, command, ..
             } => {
-                out.push(instant(
+                instant(
+                    &mut doc,
                     "oob_lost",
                     tid(*server),
                     *t,
-                    &format!("{{\"command\":{command}}}"),
-                ));
+                    format_args!("{{\"command\":{command}}}"),
+                )?;
             }
             Event::PowerSample { t, watts } => {
-                out.push(format!(
+                write!(
+                    doc.entry()?,
                     "{{\"ph\":\"C\",\"pid\":{PID},\"name\":\"row_power_w\",\"ts\":{},\"args\":{{\"watts\":{}}}}}",
                     us(*t),
-                    num(*watts)
-                ));
+                    Num(*watts)
+                )?;
             }
             Event::ControllerTransition { t, from, to } => {
-                out.push(instant(
+                instant(
+                    &mut doc,
                     "controller",
                     0,
                     *t,
-                    &format!("{{\"from\":\"{}\",\"to\":\"{}\"}}", esc(from), esc(to)),
-                ));
+                    format_args!("{{\"from\":\"{}\",\"to\":\"{}\"}}", Esc(from), Esc(to)),
+                )?;
             }
             Event::SloViolation { t, detail } => {
-                out.push(instant(
+                instant(
+                    &mut doc,
                     "slo_violation",
                     0,
                     *t,
-                    &format!("{{\"detail\":\"{}\"}}", esc(detail)),
-                ));
+                    format_args!("{{\"detail\":\"{}\"}}", Esc(detail)),
+                )?;
             }
             Event::FleetPowerSample { t, row, watts } => {
-                out.push(format!(
+                write!(
+                    doc.entry()?,
                     "{{\"ph\":\"C\",\"pid\":{PID},\"name\":\"fleet_row{row}_power_w\",\"ts\":{},\"args\":{{\"watts\":{}}}}}",
                     us(*t),
-                    num(*watts)
-                ));
+                    Num(*watts)
+                )?;
             }
             Event::BudgetViolation {
                 t,
@@ -221,17 +272,18 @@ pub fn trace_json_with_extra(
                 watts,
                 budget_watts,
             } => {
-                out.push(instant(
+                instant(
+                    &mut doc,
                     "budget_violation",
                     0,
                     *t,
-                    &format!(
+                    format_args!(
                         "{{\"scope\":\"{}\",\"unit\":{unit},\"watts\":{},\"budget_watts\":{}}}",
-                        esc(scope),
-                        num(*watts),
-                        num(*budget_watts)
+                        Esc(scope),
+                        Num(*watts),
+                        Num(*budget_watts)
                     ),
-                ));
+                )?;
             }
         }
     }
@@ -239,85 +291,102 @@ pub fn trace_json_with_extra(
     // Close anything still open at the final timestamp so the spans
     // render instead of vanishing.
     for (request, (t0, srv, pri)) in open_requests {
-        out.push(complete_span(
+        complete_span(
+            &mut doc,
             "req",
             "request",
             tid(srv),
             t0,
             t_end,
-            &format!("{{\"request\":{request},\"priority\":\"{}\"}}", esc(pri)),
-        ));
+            format_args!("{{\"request\":{request},\"priority\":\"{}\"}}", Esc(pri)),
+        )?;
     }
     for (server, (t0, mhz)) in open_caps {
-        out.push(complete_span(
+        complete_span(
+            &mut doc,
             "cap",
             "power",
             tid(server),
             t0,
             t_end,
-            &format!("{{\"mhz\":{}}}", num(mhz)),
-        ));
+            format_args!("{{\"mhz\":{}}}", Num(mhz)),
+        )?;
     }
     for (server, (t0, watts)) in open_power_caps {
-        out.push(complete_span(
+        complete_span(
+            &mut doc,
             "powercap",
             "power",
             tid(server),
             t0,
             t_end,
-            &format!("{{\"watts\":{}}}", num(watts)),
-        ));
+            format_args!("{{\"watts\":{}}}", Num(watts)),
+        )?;
     }
     for (server, t0) in open_brakes {
-        out.push(complete_span(
+        complete_span(
+            &mut doc,
             "brake",
             "power",
             tid(server),
             t0,
             t_end,
-            "{}",
-        ));
+            format_args!("{{}}"),
+        )?;
     }
 
     for a in annotations {
-        out.push(instant(
+        instant(
+            &mut doc,
             &a.name,
             0,
             a.t,
-            &format!("{{\"detail\":\"{}\"}}", esc(&a.detail)),
-        ));
+            format_args!("{{\"detail\":\"{}\"}}", Esc(&a.detail)),
+        )?;
     }
 
-    out.extend(extra.iter().cloned());
-
-    let mut doc = String::from("{\"traceEvents\":[\n");
-    doc.push_str(&out.join(",\n"));
-    doc.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    doc
+    lanes(&mut doc)?;
+    doc.finish()
 }
 
 fn tid(server: usize) -> u32 {
     server as u32 + 1
 }
 
-fn us(t: f64) -> String {
-    num(t * 1e6)
+fn us(t: f64) -> Num {
+    Num(t * 1e6)
 }
 
-fn complete_span(name: &str, cat: &str, tid: u32, t0: f64, t1: f64, args: &str) -> String {
-    format!(
+fn complete_span<W: Write>(
+    doc: &mut TraceEvents<'_, W>,
+    name: &str,
+    cat: &str,
+    tid: u32,
+    t0: f64,
+    t1: f64,
+    args: fmt::Arguments<'_>,
+) -> io::Result<()> {
+    write!(
+        doc.entry()?,
         "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{tid},\"name\":\"{}\",\"cat\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{args}}}",
-        esc(name),
-        esc(cat),
+        Esc(name),
+        Esc(cat),
         us(t0),
         us((t1 - t0).max(0.0)),
     )
 }
 
-fn instant(name: &str, tid: u32, t: f64, args: &str) -> String {
-    format!(
+fn instant<W: Write>(
+    doc: &mut TraceEvents<'_, W>,
+    name: &str,
+    tid: u32,
+    t: f64,
+    args: fmt::Arguments<'_>,
+) -> io::Result<()> {
+    write!(
+        doc.entry()?,
         "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{tid},\"name\":\"{}\",\"s\":\"t\",\"ts\":{},\"args\":{args}}}",
-        esc(name),
+        Esc(name),
         us(t),
     )
 }
@@ -384,12 +453,14 @@ mod tests {
             name: "alert:row-power-high".to_string(),
             detail: "0.97 of provisioned".to_string(),
         }];
-        let j = trace_json_annotated(&events, &notes);
+        let annotated =
+            |notes: &[Annotation]| render(|w| write_trace(w, &events, notes, |_| Ok(())));
+        let j = annotated(&notes);
         assert!(j.contains("\"name\":\"alert:row-power-high\""), "{j}");
         assert!(j.contains("\"detail\":\"0.97 of provisioned\""), "{j}");
         assert!(j.contains("\"ts\":3000000"), "{j}");
         // An empty annotation set reproduces the plain export exactly.
-        assert_eq!(trace_json_annotated(&events, &[]), trace_json(&events));
+        assert_eq!(annotated(&[]), trace_json(&events));
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //! from per-row [`RowEnergy`] results in canonical row order, so the
 //! exported artifacts obey the repo's determinism contract.
 
-use crate::json::{esc, num};
-use std::fmt::Write as _;
+use crate::chrome::TraceEvents;
+use crate::json::{render, Esc, Num};
+use std::fmt::{self, Write as _};
+use std::io;
 use std::sync::Arc;
 
 /// Default power-usage-effectiveness multiplier, absorbed from the
@@ -130,7 +132,7 @@ impl CarbonTrace {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("hour,carbon_g_per_kwh\n");
         for (t, g) in &self.points {
-            let _ = writeln!(out, "{},{}", num(t / 3600.0), num(*g));
+            let _ = writeln!(out, "{},{}", Num(t / 3600.0), Num(*g));
         }
         out
     }
@@ -717,232 +719,252 @@ impl EnergyLedger {
     /// Render `energy.csv`: the merged site timeseries with header
     /// `t_s,it_wh,facility_wh,co2e_g,g_per_kwh`.
     pub fn series_csv(&self) -> String {
-        let mut out = String::from("t_s,it_wh,facility_wh,co2e_g,g_per_kwh\n");
+        render(|w| self.write_series_csv(w))
+    }
+
+    /// Writes `energy.csv` (see [`series_csv`](Self::series_csv)) into
+    /// `w`.
+    pub fn write_series_csv(&self, w: &mut impl io::Write) -> io::Result<()> {
+        w.write_all(b"t_s,it_wh,facility_wh,co2e_g,g_per_kwh\n")?;
         for (t, it, fac, co2, gpk) in self.merged_series() {
-            let _ = writeln!(
-                out,
+            writeln!(
+                w,
                 "{},{},{},{},{}",
-                num(t),
-                num(it),
-                num(fac),
-                num(co2),
-                num(gpk)
-            );
+                Num(t),
+                Num(it),
+                Num(fac),
+                Num(co2),
+                Num(gpk)
+            )?;
         }
-        out
+        Ok(())
     }
 
     /// Render the `energy.json` ledger artifact.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"site\": ");
-        out.push_str(&level_json(&self.site));
-        let _ = write!(
-            out,
-            ",\n  \"mean_g_per_kwh\": {},\n  \"datacenters\": [",
-            num(self.mean_g_per_kwh())
-        );
+        render(|w| self.write_json(w))
+    }
+
+    /// Writes the `energy.json` ledger artifact into `w`.
+    pub fn write_json(&self, w: &mut impl io::Write) -> io::Result<()> {
+        write!(
+            w,
+            "{{\n  \"site\": {{{}}},\n  \"mean_g_per_kwh\": {},\n  \"datacenters\": [",
+            LevelFields(&self.site),
+            Num(self.mean_g_per_kwh())
+        )?;
         for (i, (d, lvl, pue)) in self.datacenters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {{\"datacenter\": {d}, \"pue\": {}, ", num(*pue));
-            out.push_str(&level_fields(lvl));
-            out.push('}');
+            let sep = if i > 0 { "," } else { "" };
+            write!(
+                w,
+                "{sep}\n    {{\"datacenter\": {d}, \"pue\": {}, {}}}",
+                Num(*pue),
+                LevelFields(lvl)
+            )?;
         }
-        out.push_str("\n  ],\n  \"pdus\": [");
+        w.write_all(b"\n  ],\n  \"pdus\": [")?;
         for (i, (p, lvl)) in self.pdus.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {{\"pdu\": {p}, ");
-            out.push_str(&level_fields(lvl));
-            out.push('}');
+            let sep = if i > 0 { "," } else { "" };
+            write!(w, "{sep}\n    {{\"pdu\": {p}, {}}}", LevelFields(lvl))?;
         }
-        out.push_str("\n  ],\n  \"rows\": [");
+        w.write_all(b"\n  ],\n  \"rows\": [")?;
         for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"row\": {}, \"pdu\": {}, \"datacenter\": {}, \"pue\": {}, \"it_wh\": {}, \"busy_wh\": {}, \"facility_wh\": {}, \"co2e_g\": {}, \"tokens\": {}}}",
+            let sep = if i > 0 { "," } else { "" };
+            write!(
+                w,
+                "{sep}\n    {{\"row\": {}, \"pdu\": {}, \"datacenter\": {}, \"pue\": {}, \"it_wh\": {}, \"busy_wh\": {}, \"facility_wh\": {}, \"co2e_g\": {}, \"tokens\": {}}}",
                 r.row,
                 r.pdu,
                 r.dc,
-                num(r.pue),
-                num(r.it_wh),
-                num(r.busy_wh),
-                num(r.facility_wh),
-                num(r.co2e_g),
+                Num(r.pue),
+                Num(r.it_wh),
+                Num(r.busy_wh),
+                Num(r.facility_wh),
+                Num(r.co2e_g),
                 r.tokens()
-            );
+            )?;
         }
-        let _ = write!(
-            out,
+        write!(
+            w,
             "\n  ],\n  \"classes\": {{\"low\": {{\"wh\": {}, \"tokens\": {}, \"joules_per_token\": {}}}, \"high\": {{\"wh\": {}, \"tokens\": {}, \"joules_per_token\": {}}}}},\n  \"pools\": [",
-            num(self.wh_low),
+            Num(self.wh_low),
             self.tokens_low,
-            num(self.class_joules_per_token(false)),
-            num(self.wh_high),
+            Num(self.class_joules_per_token(false)),
+            Num(self.wh_high),
             self.tokens_high,
-            num(self.class_joules_per_token(true))
-        );
+            Num(self.class_joules_per_token(true))
+        )?;
         for (i, (tag, wh)) in self.pool_wh.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"pool\": \"{}\", \"wh\": {}}}",
-                esc(tag),
-                num(*wh)
-            );
+            let sep = if i > 0 { "," } else { "" };
+            write!(
+                w,
+                "{sep}\n    {{\"pool\": \"{}\", \"wh\": {}}}",
+                Esc(tag),
+                Num(*wh)
+            )?;
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        w.write_all(b"\n  ]\n}\n")
     }
 
     /// Render the `energy_*` / `carbon_*` Prometheus lines appended to
     /// `metrics.prom`. Empty string when the ledger covers no rows.
     pub fn prometheus(&self) -> String {
-        if self.is_empty() {
-            return String::new();
-        }
-        let mut out = String::new();
-        let mut gauge = |name: &str, lines: &[(String, f64)]| {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for (labels, v) in lines {
-                let _ = writeln!(out, "{name}{labels} {}", num(*v));
-            }
-        };
-        gauge("energy_site_wh", &[(String::new(), self.site.it_wh)]);
-        gauge("energy_site_busy_wh", &[(String::new(), self.site.busy_wh)]);
-        gauge(
-            "energy_facility_wh",
-            &[(String::new(), self.site.facility_wh)],
-        );
-        gauge(
-            "energy_datacenter_wh",
-            &self
-                .datacenters
-                .iter()
-                .map(|(d, lvl, _)| (format!("{{datacenter=\"{d}\"}}"), lvl.it_wh))
-                .collect::<Vec<_>>(),
-        );
-        gauge(
-            "energy_pdu_wh",
-            &self
-                .pdus
-                .iter()
-                .map(|(p, lvl)| (format!("{{pdu=\"{p}\"}}"), lvl.it_wh))
-                .collect::<Vec<_>>(),
-        );
-        gauge(
-            "energy_row_wh",
-            &self
-                .rows
-                .iter()
-                .map(|r| (format!("{{row=\"{}\"}}", r.row), r.it_wh))
-                .collect::<Vec<_>>(),
-        );
-        gauge(
-            "energy_class_wh",
-            &[
-                ("{tag=\"high\"}".to_string(), self.wh_high),
-                ("{tag=\"low\"}".to_string(), self.wh_low),
-            ],
-        );
-        gauge(
-            "energy_pool_wh",
-            &self
-                .pool_wh
-                .iter()
-                .map(|(tag, wh)| (format!("{{tag=\"{}\"}}", esc(tag)), *wh))
-                .collect::<Vec<_>>(),
-        );
-        gauge(
-            "energy_joules_per_token",
-            &[(String::new(), self.site.joules_per_token())],
-        );
-        gauge(
-            "energy_class_joules_per_token",
-            &[
-                (
-                    "{tag=\"high\"}".to_string(),
-                    self.class_joules_per_token(true),
-                ),
-                (
-                    "{tag=\"low\"}".to_string(),
-                    self.class_joules_per_token(false),
-                ),
-            ],
-        );
-        gauge("carbon_site_g", &[(String::new(), self.site.co2e_g)]);
-        gauge(
-            "carbon_datacenter_g",
-            &self
-                .datacenters
-                .iter()
-                .map(|(d, lvl, _)| (format!("{{datacenter=\"{d}\"}}"), lvl.co2e_g))
-                .collect::<Vec<_>>(),
-        );
-        gauge(
-            "carbon_g_per_token",
-            &[(String::new(), self.site.co2e_g_per_token())],
-        );
-        gauge(
-            "carbon_mean_g_per_kwh",
-            &[(String::new(), self.mean_g_per_kwh())],
-        );
-        out
+        render(|w| self.write_prometheus(w))
     }
 
-    /// Chrome-trace counter lanes (`"ph":"C"`, pid 3) for the merged
-    /// site timeseries: an `energy_wh` lane (IT vs facility) and a
-    /// `carbon` lane (cumulative grams + instantaneous intensity).
-    pub fn chrome_counter_lanes(&self) -> Vec<String> {
+    /// Writes the `energy_*` / `carbon_*` Prometheus lines into `w`
+    /// (nothing when the ledger covers no rows).
+    pub fn write_prometheus(&self, w: &mut impl io::Write) -> io::Result<()> {
+        if self.is_empty() {
+            return Ok(());
+        }
+        fn gauge<'a>(
+            w: &mut impl io::Write,
+            name: &str,
+            lines: impl IntoIterator<Item = (PromLabel<'a>, f64)>,
+        ) -> io::Result<()> {
+            writeln!(w, "# TYPE {name} gauge")?;
+            for (label, v) in lines {
+                writeln!(w, "{name}{label} {}", Num(v))?;
+            }
+            Ok(())
+        }
+        use PromLabel::{Datacenter, Pdu, Row, Site, Tag};
+        gauge(w, "energy_site_wh", [(Site, self.site.it_wh)])?;
+        gauge(w, "energy_site_busy_wh", [(Site, self.site.busy_wh)])?;
+        gauge(w, "energy_facility_wh", [(Site, self.site.facility_wh)])?;
+        gauge(
+            w,
+            "energy_datacenter_wh",
+            self.datacenters
+                .iter()
+                .map(|(d, lvl, _)| (Datacenter(*d), lvl.it_wh)),
+        )?;
+        gauge(
+            w,
+            "energy_pdu_wh",
+            self.pdus.iter().map(|(p, lvl)| (Pdu(*p), lvl.it_wh)),
+        )?;
+        gauge(
+            w,
+            "energy_row_wh",
+            self.rows.iter().map(|r| (Row(r.row), r.it_wh)),
+        )?;
+        gauge(
+            w,
+            "energy_class_wh",
+            [(Tag("high"), self.wh_high), (Tag("low"), self.wh_low)],
+        )?;
+        gauge(
+            w,
+            "energy_pool_wh",
+            self.pool_wh.iter().map(|(tag, wh)| (Tag(tag), *wh)),
+        )?;
+        gauge(
+            w,
+            "energy_joules_per_token",
+            [(Site, self.site.joules_per_token())],
+        )?;
+        gauge(
+            w,
+            "energy_class_joules_per_token",
+            [
+                (Tag("high"), self.class_joules_per_token(true)),
+                (Tag("low"), self.class_joules_per_token(false)),
+            ],
+        )?;
+        gauge(w, "carbon_site_g", [(Site, self.site.co2e_g)])?;
+        gauge(
+            w,
+            "carbon_datacenter_g",
+            self.datacenters
+                .iter()
+                .map(|(d, lvl, _)| (Datacenter(*d), lvl.co2e_g)),
+        )?;
+        gauge(
+            w,
+            "carbon_g_per_token",
+            [(Site, self.site.co2e_g_per_token())],
+        )?;
+        gauge(w, "carbon_mean_g_per_kwh", [(Site, self.mean_g_per_kwh())])
+    }
+
+    /// Writes Chrome-trace counter lanes (`"ph":"C"`, pid 3) for the
+    /// merged site timeseries: an `energy_wh` lane (IT vs facility) and
+    /// a `carbon` lane (cumulative grams + instantaneous intensity).
+    /// Writes nothing when the ledger covers no rows.
+    pub fn write_chrome_counter_lanes<W: io::Write>(
+        &self,
+        doc: &mut TraceEvents<'_, W>,
+    ) -> io::Result<()> {
         const PID: u32 = 3;
         if self.is_empty() {
-            return Vec::new();
+            return Ok(());
         }
-        let us = |t: f64| num(t * 1e6);
-        let mut out = Vec::new();
-        out.push(format!(
+        let us = |t: f64| Num(t * 1e6);
+        write!(
+            doc.entry()?,
             "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"polca-energy\"}}}}"
-        ));
+        )?;
         for (t, it, fac, co2, gpk) in self.merged_series() {
-            out.push(format!(
+            write!(
+                doc.entry()?,
                 "{{\"ph\":\"C\",\"pid\":{PID},\"tid\":0,\"name\":\"energy_wh\",\"ts\":{},\"args\":{{\"it\":{},\"facility\":{}}}}}",
                 us(t),
-                num(it),
-                num(fac)
-            ));
-            out.push(format!(
+                Num(it),
+                Num(fac)
+            )?;
+            write!(
+                doc.entry()?,
                 "{{\"ph\":\"C\",\"pid\":{PID},\"tid\":0,\"name\":\"carbon\",\"ts\":{},\"args\":{{\"co2e_g\":{},\"g_per_kwh\":{}}}}}",
                 us(t),
-                num(co2),
-                num(gpk)
-            ));
+                Num(co2),
+                Num(gpk)
+            )?;
         }
-        out
+        Ok(())
     }
 }
 
-fn level_fields(lvl: &LevelEnergy) -> String {
-    format!(
-        "\"it_wh\": {}, \"busy_wh\": {}, \"facility_wh\": {}, \"co2e_g\": {}, \"tokens\": {}, \"joules_per_token\": {}, \"co2e_g_per_token\": {}",
-        num(lvl.it_wh),
-        num(lvl.busy_wh),
-        num(lvl.facility_wh),
-        num(lvl.co2e_g),
-        lvl.tokens,
-        num(lvl.joules_per_token()),
-        num(lvl.co2e_g_per_token())
-    )
+/// Displays one ledger level's fields, as `energy.json` nests them.
+struct LevelFields<'a>(&'a LevelEnergy);
+
+impl fmt::Display for LevelFields<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let lvl = self.0;
+        write!(
+            f,
+            "\"it_wh\": {}, \"busy_wh\": {}, \"facility_wh\": {}, \"co2e_g\": {}, \"tokens\": {}, \"joules_per_token\": {}, \"co2e_g_per_token\": {}",
+            Num(lvl.it_wh),
+            Num(lvl.busy_wh),
+            Num(lvl.facility_wh),
+            Num(lvl.co2e_g),
+            lvl.tokens,
+            Num(lvl.joules_per_token()),
+            Num(lvl.co2e_g_per_token())
+        )
+    }
 }
 
-fn level_json(lvl: &LevelEnergy) -> String {
-    format!("{{{}}}", level_fields(lvl))
+/// The label set of one ledger Prometheus line.
+enum PromLabel<'a> {
+    Site,
+    Datacenter(usize),
+    Pdu(usize),
+    Row(usize),
+    Tag(&'a str),
+}
+
+impl fmt::Display for PromLabel<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PromLabel::Site => Ok(()),
+            PromLabel::Datacenter(d) => write!(f, "{{datacenter=\"{d}\"}}"),
+            PromLabel::Pdu(p) => write!(f, "{{pdu=\"{p}\"}}"),
+            PromLabel::Row(r) => write!(f, "{{row=\"{r}\"}}"),
+            PromLabel::Tag(t) => write!(f, "{{tag=\"{}\"}}", Esc(t)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1119,14 +1141,24 @@ mod tests {
         // Samples at 900 s stride; the horizon coincides with the last
         // stride sample, so no extra seal row is added.
         assert_eq!(csv.lines().count() - 1, 4);
-        let lanes = ledger.chrome_counter_lanes();
-        assert!(lanes[0].contains("polca-energy"));
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"energy_wh\"")));
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"carbon\"")));
+        let lanes = |ledger: &EnergyLedger| {
+            render(|w| {
+                let mut doc = TraceEvents::begin(w)?;
+                ledger.write_chrome_counter_lanes(&mut doc)?;
+                doc.finish()
+            })
+        };
+        let doc = lanes(&ledger);
+        assert!(
+            doc.lines().nth(1).unwrap().contains("polca-energy"),
+            "{doc}"
+        );
+        assert!(doc.contains("\"name\":\"energy_wh\""), "{doc}");
+        assert!(doc.contains("\"name\":\"carbon\""), "{doc}");
         // Empty ledger exports nothing.
         let empty = EnergyLedger::from_rows(&[]);
         assert!(empty.prometheus().is_empty());
-        assert!(empty.chrome_counter_lanes().is_empty());
+        assert_eq!(lanes(&empty), render(|w| TraceEvents::begin(w)?.finish()));
     }
 
     #[test]

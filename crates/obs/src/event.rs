@@ -5,7 +5,9 @@
 //! wall-clock time, pointers, or any other run-to-run varying data, so
 //! a fixed seed produces a byte-identical event log.
 
-use crate::json::{esc, num};
+use std::io::{self, Write};
+
+use crate::json::{render, Esc, Num};
 
 /// One structured trace event.
 ///
@@ -230,88 +232,80 @@ impl Event {
     /// Serializes the event as a single JSON object (one JSONL line,
     /// without the trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"ev\":\"");
-        s.push_str(self.kind());
-        s.push_str("\",\"t\":");
-        s.push_str(&num(self.t()));
+        render(|w| self.write_json(w))
+    }
+
+    /// Writes the event as a single JSON object (one JSONL line,
+    /// without the trailing newline) into `w`.
+    pub fn write_json(&self, w: &mut impl Write) -> io::Result<()> {
+        write!(w, "{{\"ev\":\"{}\",\"t\":{}", self.kind(), Num(self.t()))?;
         match self {
             Event::RequestDispatched {
                 server,
                 request,
                 priority,
                 ..
-            } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_u64(&mut s, "request", *request);
-                push_field_str(&mut s, "priority", priority);
-            }
+            } => write!(
+                w,
+                ",\"server\":{server},\"request\":{request},\"priority\":\"{}\"",
+                Esc(priority)
+            ),
             Event::RequestQueued {
                 request, priority, ..
             }
             | Event::RequestRejected {
                 request, priority, ..
-            } => {
-                push_field_u64(&mut s, "request", *request);
-                push_field_str(&mut s, "priority", priority);
-            }
+            } => write!(
+                w,
+                ",\"request\":{request},\"priority\":\"{}\"",
+                Esc(priority)
+            ),
             Event::RequestCompleted {
                 server,
                 request,
                 priority,
                 latency_s,
                 ..
-            } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_u64(&mut s, "request", *request);
-                push_field_str(&mut s, "priority", priority);
-                push_field_f64(&mut s, "latency_s", *latency_s);
-            }
+            } => write!(
+                w,
+                ",\"server\":{server},\"request\":{request},\"priority\":\"{}\",\"latency_s\":{}",
+                Esc(priority),
+                Num(*latency_s)
+            ),
             Event::CapApplied { server, mhz, .. } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_f64(&mut s, "mhz", *mhz);
+                write!(w, ",\"server\":{server},\"mhz\":{}", Num(*mhz))
             }
             Event::Uncap { server, .. } | Event::PowerCapCleared { server, .. } => {
-                push_field_usize(&mut s, "server", *server);
+                write!(w, ",\"server\":{server}")
             }
             Event::PowerCapApplied { server, watts, .. } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_f64(&mut s, "watts", *watts);
+                write!(w, ",\"server\":{server},\"watts\":{}", Num(*watts))
             }
             Event::BrakeEngaged { server, on, .. } => {
-                push_field_usize(&mut s, "server", *server);
-                s.push_str(",\"on\":");
-                s.push_str(if *on { "true" } else { "false" });
+                write!(w, ",\"server\":{server},\"on\":{on}")
             }
             Event::OobCommandSent {
                 server,
                 command,
                 effective_at,
                 ..
-            } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_u64(&mut s, "command", *command);
-                push_field_f64(&mut s, "effective_at", *effective_at);
-            }
+            } => write!(
+                w,
+                ",\"server\":{server},\"command\":{command},\"effective_at\":{}",
+                Num(*effective_at)
+            ),
             Event::OobCommandLost {
                 server, command, ..
-            } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_u64(&mut s, "command", *command);
-            }
-            Event::PowerSample { watts, .. } => {
-                push_field_f64(&mut s, "watts", *watts);
-            }
+            } => write!(w, ",\"server\":{server},\"command\":{command}"),
+            Event::PowerSample { watts, .. } => write!(w, ",\"watts\":{}", Num(*watts)),
             Event::ControllerTransition { from, to, .. } => {
-                push_field_str(&mut s, "from", from);
-                push_field_str(&mut s, "to", to);
+                write!(w, ",\"from\":\"{}\",\"to\":\"{}\"", Esc(from), Esc(to))
             }
             Event::SloViolation { detail, .. } => {
-                push_field_str(&mut s, "detail", detail);
+                write!(w, ",\"detail\":\"{}\"", Esc(detail))
             }
             Event::FleetPowerSample { row, watts, .. } => {
-                push_field_usize(&mut s, "row", *row);
-                push_field_f64(&mut s, "watts", *watts);
+                write!(w, ",\"row\":{row},\"watts\":{}", Num(*watts))
             }
             Event::BudgetViolation {
                 scope,
@@ -319,42 +313,16 @@ impl Event {
                 watts,
                 budget_watts,
                 ..
-            } => {
-                push_field_str(&mut s, "scope", scope);
-                push_field_usize(&mut s, "unit", *unit);
-                push_field_f64(&mut s, "watts", *watts);
-                push_field_f64(&mut s, "budget_watts", *budget_watts);
-            }
-        }
-        s.push('}');
-        s
+            } => write!(
+                w,
+                ",\"scope\":\"{}\",\"unit\":{unit},\"watts\":{},\"budget_watts\":{}",
+                Esc(scope),
+                Num(*watts),
+                Num(*budget_watts)
+            ),
+        }?;
+        w.write_all(b"}")
     }
-}
-
-fn push_field_str(s: &mut String, key: &str, value: &str) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":\"");
-    s.push_str(&esc(value));
-    s.push('"');
-}
-
-fn push_field_f64(s: &mut String, key: &str, value: f64) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&num(value));
-}
-
-fn push_field_u64(s: &mut String, key: &str, value: u64) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&value.to_string());
-}
-
-fn push_field_usize(s: &mut String, key: &str, value: usize) {
-    push_field_u64(s, key, value as u64);
 }
 
 #[cfg(test)]

@@ -1,22 +1,33 @@
 //! The exportable bundle a run leaves behind.
 //!
-//! [`RunArtifacts`] is a snapshot of everything a [`Recorder`] captured
-//! and knows how to render each artifact format:
+//! [`RunArtifacts`] is a snapshot of everything a [`Recorder`] captured.
+//! Each artifact has exactly one renderer, which streams into an
+//! `io::Write` sink and allocates no whole-file string:
 //!
-//! | file              | contents                                         |
-//! |-------------------|--------------------------------------------------|
-//! | `events.jsonl`    | the structured event log, one JSON object/line   |
-//! | `requests.jsonl`  | polca-req per-request lifecycle records (only    |
-//! |                   | when request tracing is on)                      |
-//! | `metrics.json`    | counters, gauges, histogram summaries            |
-//! | `metrics.prom`    | registry + deterministic polca-prof counters in  |
-//! |                   | Prometheus text exposition                       |
-//! | `power.csv`       | `t_s,watts` timeseries from power samples        |
-//! | `latency.csv`     | per-request completion latencies                 |
-//! | `trace.json`      | Chrome trace-event JSON (Perfetto-loadable)      |
-//! | `prof.json`       | polca-prof phase/counter totals (non-determ.)    |
-//! | `prof.folded`     | collapsed stacks for speedscope/flamegraph       |
-//! | `prof.trace.json` | the phase breakdown as a Perfetto track          |
+//! | file              | contents                                  | renderer                                  |
+//! |-------------------|-------------------------------------------|-------------------------------------------|
+//! | `events.jsonl`    | the structured event log, one JSON object/line | [`Event::write_json`] per line       |
+//! | `requests.jsonl`  | polca-req per-request lifecycle records (only when request tracing is on) | [`req::write_requests_jsonl`] |
+//! | `metrics.json`    | counters, gauges, histogram summaries     | [`MetricsRegistry::write_json`]           |
+//! | `metrics.prom`    | registry + deterministic polca-prof counters + energy gauges in Prometheus text exposition | [`MetricsRegistry::write_prometheus`], [`ProfSnapshot::write_prometheus`], [`EnergyLedger::write_prometheus`] |
+//! | `energy.json`     | the hierarchical energy/carbon ledger     | [`EnergyLedger::write_json`]              |
+//! | `energy.csv`      | the merged site energy timeseries         | [`EnergyLedger::write_series_csv`]        |
+//! | `power.csv`       | `t_s,watts` timeseries from power samples | this module                               |
+//! | `latency.csv`     | per-request completion latencies          | this module                               |
+//! | `trace.json`      | Chrome trace-event JSON (Perfetto-loadable), with request and energy lanes | [`chrome::write_trace`] |
+//! | `prof.json`       | polca-prof phase/counter totals (non-determ.) | [`ProfSnapshot::write_json`]          |
+//! | `prof.folded`     | collapsed stacks for speedscope/flamegraph | [`ProfSnapshot::write_folded`]           |
+//! | `prof.trace.json` | the phase breakdown as a Perfetto track   | [`ProfSnapshot::write_chrome_trace`]      |
+//!
+//! The `String` methods ([`RunArtifacts::events_jsonl`],
+//! [`RunArtifacts::chrome_trace_json`], [`EnergyLedger::to_json`], …)
+//! are one-line wrappers that run the same renderer into memory, so a
+//! file and its string cannot differ. [`Recorder::write_dir`] takes no
+//! snapshot: it streams every file straight from the recorder's core
+//! under one lock, each through a buffered file writer that is flushed
+//! explicitly so a write error is returned instead of dropped. Files
+//! render concurrently, one per available core, and the energy ledger
+//! is built once per export.
 //!
 //! Everything except the wall-clock `prof.*` artifacts is a pure
 //! function of the event log and metrics, which are themselves
@@ -26,15 +37,20 @@
 //! of the profile — call and occupancy counters, never nanoseconds.)
 //!
 //! [`Recorder`]: crate::Recorder
+//! [`Recorder::write_dir`]: crate::Recorder::write_dir
 
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread;
 
-use crate::chrome;
+use crate::chrome::{self, Annotation};
 use crate::energy::{EnergyLedger, RowEnergy};
 use crate::event::Event;
-use crate::json::num;
+use crate::json::{render, Num};
 use crate::metrics::MetricsRegistry;
 use crate::prof::ProfSnapshot;
 use crate::recorder::ObsLevel;
@@ -105,30 +121,34 @@ pub struct RunArtifacts {
 }
 
 impl RunArtifacts {
+    fn export(&self) -> Export<'_> {
+        Export::new(
+            self.level,
+            &self.events,
+            &self.metrics,
+            &self.requests,
+            self.req_trace,
+            &self.energy_rows,
+            &self.prof,
+        )
+    }
+
     /// The event log as JSON Lines (one event per line).
     pub fn events_jsonl(&self) -> String {
-        let mut s = String::new();
-        for ev in &self.events {
-            s.push_str(&ev.to_json());
-            s.push('\n');
-        }
-        s
+        render(|w| self.export().write_events_jsonl(w))
     }
 
     /// The metrics registry as a JSON document.
     pub fn metrics_json(&self) -> String {
-        self.metrics.to_json()
+        render(|w| self.export().write_metrics_json(w))
     }
 
     /// The metrics registry in the Prometheus text exposition format,
     /// followed by the deterministic polca-prof counter series (phase
     /// calls, queue depth high-water mark, occupancy) when profiling
-    /// captured anything.
+    /// captured anything, and the energy ledger's gauges.
     pub fn metrics_prometheus(&self) -> String {
-        let mut s = self.metrics.to_prometheus();
-        s.push_str(&self.prof.to_prometheus());
-        s.push_str(&self.energy_ledger().prometheus());
-        s
+        render(|w| self.export().write_metrics_prometheus(w))
     }
 
     /// The polca-energy ledger assembled from the recorded per-row
@@ -139,67 +159,27 @@ impl RunArtifacts {
 
     /// The aggregate power timeseries as CSV (`t_s,watts`).
     pub fn power_csv(&self) -> String {
-        let mut s = String::from("t_s,watts\n");
-        for ev in &self.events {
-            if let Event::PowerSample { t, watts } = ev {
-                s.push_str(&format!("{},{}\n", num(*t), num(*watts)));
-            }
-        }
-        s
+        render(|w| self.export().write_power_csv(w))
     }
 
     /// Per-request completion latencies as CSV
     /// (`t_s,server,priority,latency_s`).
     pub fn latency_csv(&self) -> String {
-        let mut s = String::from("t_s,server,priority,latency_s\n");
-        for ev in &self.events {
-            if let Event::RequestCompleted {
-                t,
-                server,
-                priority,
-                latency_s,
-                ..
-            } = ev
-            {
-                s.push_str(&format!(
-                    "{},{server},{priority},{}\n",
-                    num(*t),
-                    num(*latency_s)
-                ));
-            }
-        }
-        s
+        render(|w| self.export().write_latency_csv(w))
     }
 
     /// The polca-req request log as JSON Lines (one completed request
     /// per line — the `requests.jsonl` body).
     pub fn requests_jsonl(&self) -> String {
-        req::requests_jsonl(&self.requests)
+        render(|w| req::write_requests_jsonl(w, &self.requests))
     }
 
     /// The event log rendered as Chrome trace-event JSON; when request
     /// tracing captured records, per-request lanes ride along on a
-    /// dedicated `polca-req` process.
+    /// dedicated `polca-req` process, and energy counters on a
+    /// `polca-energy` one.
     pub fn chrome_trace_json(&self) -> String {
-        chrome::trace_json_with_extra(&self.events, &[], &self.request_lanes())
-    }
-
-    /// Chrome trace-event JSON with extra instant markers merged onto
-    /// the cluster track (the watch plane's incident annotations).
-    pub fn chrome_trace_json_with(&self, annotations: &[chrome::Annotation]) -> String {
-        chrome::trace_json_with_extra(&self.events, annotations, &self.request_lanes())
-    }
-
-    fn request_lanes(&self) -> Vec<String> {
-        let mut lanes = if self.req_trace {
-            req::chrome_request_lanes(&self.requests)
-        } else {
-            Vec::new()
-        };
-        if !self.energy_rows.is_empty() {
-            lanes.extend(self.energy_ledger().chrome_counter_lanes());
-        }
-        lanes
+        render(|w| self.export().write_trace_json(w, &[]))
     }
 
     /// polca-prof phase/counter totals as JSON (`prof.json` body).
@@ -232,38 +212,222 @@ impl RunArtifacts {
     /// * `ObsLevel::Full` → plus `prof.json`, `prof.folded`,
     ///   `prof.trace.json`
     pub fn write_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        fs::create_dir_all(dir)?;
-        let mut written = Vec::new();
-        let mut put = |name: &str, body: String| -> io::Result<()> {
-            let path = dir.join(name);
-            fs::write(&path, body)?;
-            written.push(path);
-            Ok(())
-        };
+        self.export().write_dir(dir, &[])
+    }
+}
+
+/// Buffer size of each artifact file's writer.
+const FILE_BUFFER: usize = 64 << 10;
+
+/// Everything one export reads, borrowed — from a [`RunArtifacts`]
+/// snapshot or straight from a recorder's locked core — so each
+/// artifact has exactly one renderer, which streams into its sink.
+pub(crate) struct Export<'a> {
+    level: ObsLevel,
+    events: &'a [Event],
+    metrics: &'a MetricsRegistry,
+    requests: &'a [ReqRecord],
+    req_trace: bool,
+    prof: &'a ProfSnapshot,
+    /// The energy ledger (when rows were recorded), built once and
+    /// shared by every artifact that reads it.
+    ledger: Option<EnergyLedger>,
+}
+
+/// One artifact file: its name and its renderer.
+type Job<'a, S> = (
+    &'static str,
+    Box<dyn Fn(&mut S) -> io::Result<()> + Sync + 'a>,
+);
+
+impl<'a> Export<'a> {
+    pub(crate) fn new(
+        level: ObsLevel,
+        events: &'a [Event],
+        metrics: &'a MetricsRegistry,
+        requests: &'a [ReqRecord],
+        req_trace: bool,
+        energy_rows: &'a [RowEnergy],
+        prof: &'a ProfSnapshot,
+    ) -> Self {
+        Export {
+            level,
+            events,
+            metrics,
+            requests,
+            req_trace,
+            prof,
+            ledger: (!energy_rows.is_empty()).then(|| EnergyLedger::from_rows(energy_rows)),
+        }
+    }
+
+    fn write_events_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
+        for ev in self.events {
+            ev.write_json(w)?;
+            w.write_all(b"\n")?;
+        }
+        Ok(())
+    }
+
+    fn write_metrics_json(&self, w: &mut impl Write) -> io::Result<()> {
+        self.metrics.write_json(w)
+    }
+
+    fn write_metrics_prometheus(&self, w: &mut impl Write) -> io::Result<()> {
+        self.metrics.write_prometheus(w)?;
+        self.prof.write_prometheus(w)?;
+        match &self.ledger {
+            Some(ledger) => ledger.write_prometheus(w),
+            None => Ok(()),
+        }
+    }
+
+    fn write_power_csv(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(b"t_s,watts\n")?;
+        for ev in self.events {
+            if let Event::PowerSample { t, watts } = ev {
+                writeln!(w, "{},{}", Num(*t), Num(*watts))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn write_latency_csv(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(b"t_s,server,priority,latency_s\n")?;
+        for ev in self.events {
+            if let Event::RequestCompleted {
+                t,
+                server,
+                priority,
+                latency_s,
+                ..
+            } = ev
+            {
+                writeln!(w, "{},{server},{priority},{}", Num(*t), Num(*latency_s))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn write_trace_json<W: Write>(&self, w: &mut W, annotations: &[Annotation]) -> io::Result<()> {
+        chrome::write_trace(w, self.events, annotations, |doc| {
+            if self.req_trace {
+                req::write_request_lanes(doc, self.requests)?;
+            }
+            match &self.ledger {
+                Some(ledger) => ledger.write_chrome_counter_lanes(doc),
+                None => Ok(()),
+            }
+        })
+    }
+
+    /// The level-appropriate artifacts, in `write_dir`'s order.
+    fn jobs<S: Write>(&'a self, annotations: &'a [Annotation]) -> Vec<Job<'a, S>> {
+        let mut jobs: Vec<Job<'a, S>> = Vec::new();
         if self.level.metrics_enabled() {
-            put("metrics.json", self.metrics_json())?;
-            put("metrics.prom", self.metrics_prometheus())?;
-            if !self.energy_rows.is_empty() {
-                let ledger = self.energy_ledger();
-                put("energy.json", ledger.to_json())?;
-                put("energy.csv", ledger.series_csv())?;
+            jobs.push(("metrics.json", Box::new(|w| self.write_metrics_json(w))));
+            jobs.push((
+                "metrics.prom",
+                Box::new(|w| self.write_metrics_prometheus(w)),
+            ));
+            if let Some(ledger) = &self.ledger {
+                jobs.push(("energy.json", Box::new(|w| ledger.write_json(w))));
+                jobs.push(("energy.csv", Box::new(|w| ledger.write_series_csv(w))));
             }
         }
         if self.level.events_enabled() {
-            put("events.jsonl", self.events_jsonl())?;
+            jobs.push(("events.jsonl", Box::new(|w| self.write_events_jsonl(w))));
             if self.req_trace {
-                put("requests.jsonl", self.requests_jsonl())?;
+                jobs.push((
+                    "requests.jsonl",
+                    Box::new(|w| req::write_requests_jsonl(w, self.requests)),
+                ));
             }
-            put("power.csv", self.power_csv())?;
-            put("latency.csv", self.latency_csv())?;
-            put("trace.json", self.chrome_trace_json())?;
+            jobs.push(("power.csv", Box::new(|w| self.write_power_csv(w))));
+            jobs.push(("latency.csv", Box::new(|w| self.write_latency_csv(w))));
+            jobs.push((
+                "trace.json",
+                Box::new(|w| self.write_trace_json(w, annotations)),
+            ));
         }
         if self.level.profiling_enabled() {
-            put("prof.json", self.prof_json())?;
-            put("prof.folded", self.prof_folded())?;
-            put("prof.trace.json", self.prof_chrome_json())?;
+            jobs.push(("prof.json", Box::new(|w| self.prof.write_json(w))));
+            jobs.push(("prof.folded", Box::new(|w| self.prof.write_folded(w))));
+            jobs.push((
+                "prof.trace.json",
+                Box::new(|w| self.prof.write_chrome_trace(w)),
+            ));
         }
-        Ok(written)
+        jobs
+    }
+
+    /// Streams the level-appropriate artifacts, each into the sink
+    /// `open` returns for its file name, and flushes every sink.
+    /// Files render concurrently on up to one thread per available
+    /// core, largest first; the first error in file order is returned.
+    /// Returns the names written, in order.
+    fn write_files<S: Write + Send>(
+        &'a self,
+        annotations: &'a [Annotation],
+        open: impl Fn(&'static str) -> io::Result<S> + Sync,
+    ) -> io::Result<Vec<&'static str>> {
+        let jobs = self.jobs::<S>(annotations);
+        // The event-log artifacts dwarf the rest; start them first so
+        // the small files fill in behind them.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&i| {
+            ["trace.json", "events.jsonl", "requests.jsonl", "power.csv"]
+                .iter()
+                .position(|&big| big == jobs[i].0)
+                .unwrap_or(usize::MAX)
+        });
+        let results: Vec<Mutex<io::Result<()>>> = jobs.iter().map(|_| Mutex::new(Ok(()))).collect();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let (name, render) = &jobs[i];
+                let result = open(name).and_then(|mut sink| {
+                    render(&mut sink)?;
+                    sink.flush()
+                });
+                *results[i]
+                    .lock()
+                    .expect("no renderer holds the lock across a panic") = result;
+            }
+        };
+        let workers = thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(jobs.len());
+        thread::scope(|scope| {
+            for _ in 1..workers {
+                // A helper thread that cannot start leaves its share to
+                // the others.
+                let _ = thread::Builder::new().spawn_scoped(scope, work);
+            }
+            work();
+        });
+        for result in results {
+            result.into_inner().expect("renderer panicked")?;
+        }
+        Ok(jobs.into_iter().map(|(name, _)| name).collect())
+    }
+
+    /// Writes the level-appropriate artifact files into `dir` (see
+    /// [`RunArtifacts::write_dir`]), with `annotations` merged onto
+    /// `trace.json`'s cluster track.
+    pub(crate) fn write_dir(
+        &self,
+        dir: &Path,
+        annotations: &[Annotation],
+    ) -> io::Result<Vec<PathBuf>> {
+        fs::create_dir_all(dir)?;
+        let names = self.write_files(annotations, |name| {
+            Ok(BufWriter::with_capacity(
+                FILE_BUFFER,
+                File::create(dir.join(name))?,
+            ))
+        })?;
+        Ok(names.into_iter().map(|name| dir.join(name)).collect())
     }
 }
 
@@ -424,5 +588,160 @@ mod tests {
         assert_eq!(a.chrome_trace_json(), without);
 
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sink that accepts `budget` bytes and then fails every write;
+    /// with `fail_flush` its flush fails too.
+    struct Faulty {
+        budget: usize,
+        fail_flush: bool,
+    }
+
+    impl Write for Faulty {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("injected write fault"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            if self.fail_flush {
+                Err(io::Error::other("injected flush fault"))
+            } else {
+                Ok(())
+            }
+        }
+    }
+
+    /// Every artifact at Full: events, request records and an energy
+    /// ledger, plus one annotation for `trace.json`.
+    fn full_sample() -> (RunArtifacts, Vec<Annotation>) {
+        use crate::energy::{CarbonSignal, EnergyAccum, EnergyPlan};
+
+        let mut a = sample();
+        a.level = ObsLevel::Full;
+        a.req_trace = true;
+        a.requests
+            .push(crate::req::ReqSpan::default().finish(7, "high", 0, 0.0, 1.0, 9.0, 100, 10));
+        let mut acc = EnergyAccum::new(
+            EnergyPlan::new(CarbonSignal::Constant(100.0)),
+            0.0,
+            200.0,
+            0.0,
+            &[("aggregated", 200.0)],
+        );
+        acc.tick(1800.0, 200.0, 0.0, &[("aggregated", 200.0)]);
+        a.energy_rows.push(acc.finish(1800.0, 3600.0));
+        a.prof.set(
+            crate::Phase::Dispatch,
+            crate::PhaseAgg {
+                calls: 3,
+                total_ns: 900,
+                self_ns: 900,
+                max_ns: 400,
+            },
+        );
+        let notes = vec![Annotation {
+            t: 2.0,
+            name: "alert:row-power-high".into(),
+            detail: "0.97".into(),
+        }];
+        (a, notes)
+    }
+
+    #[test]
+    fn write_faults_propagate_from_every_renderer() {
+        let dir = std::env::temp_dir().join(format!(
+            "polca-fault-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let (a, notes) = full_sample();
+        let files = a.export().write_dir(&dir, &notes).unwrap();
+        assert_eq!(files.len(), 12);
+        for path in &files {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap();
+            let len = fs::metadata(path).unwrap().len() as usize;
+            assert!(len > 10, "{name} is too short to cut mid-line");
+            // Nothing written, cut inside the first line or two, cut
+            // mid-file.
+            for budget in [0, 10, len / 2] {
+                let err = a
+                    .export()
+                    .write_files(&notes, |n| {
+                        Ok(Faulty {
+                            budget: if n == name { budget } else { usize::MAX },
+                            fail_flush: false,
+                        })
+                    })
+                    .unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    "injected write fault",
+                    "{name} at {budget}"
+                );
+            }
+            // A sink whose flush fails: the error is returned, not
+            // swallowed as a dropped `BufWriter` would.
+            let err = a
+                .export()
+                .write_files(&notes, |n| {
+                    Ok(Faulty {
+                        budget: usize::MAX,
+                        fail_flush: n == name,
+                    })
+                })
+                .unwrap_err();
+            assert_eq!(err.to_string(), "injected flush fault", "{name}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_files_match_the_string_renderers() {
+        let dir = std::env::temp_dir().join(format!(
+            "polca-stream-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let (a, _) = full_sample();
+        a.write_dir(&dir).unwrap();
+        let ledger = a.energy_ledger();
+        for (name, body) in [
+            ("metrics.json", a.metrics_json()),
+            ("metrics.prom", a.metrics_prometheus()),
+            ("energy.json", ledger.to_json()),
+            ("energy.csv", ledger.series_csv()),
+            ("events.jsonl", a.events_jsonl()),
+            ("requests.jsonl", a.requests_jsonl()),
+            ("power.csv", a.power_csv()),
+            ("latency.csv", a.latency_csv()),
+            ("trace.json", a.chrome_trace_json()),
+            ("prof.json", a.prof_json()),
+            ("prof.folded", a.prof_folded()),
+            ("prof.trace.json", a.prof_chrome_json()),
+        ] {
+            assert_eq!(fs::read_to_string(dir.join(name)).unwrap(), body, "{name}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_dir_under_a_regular_file_fails() {
+        let file = std::env::temp_dir().join(format!(
+            "polca-not-a-dir-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        fs::write(&file, "x").unwrap();
+        let (a, _) = full_sample();
+        assert!(a.write_dir(&file.join("obs")).is_err());
+        assert!(a.write_dir(&file).is_err());
+        fs::remove_file(&file).unwrap();
     }
 }

@@ -31,7 +31,9 @@
 //!   latency timeseries, and a Chrome trace-event JSON that opens
 //!   directly in Perfetto (`https://ui.perfetto.dev`) or
 //!   `chrome://tracing` with servers as tracks and cap/brake spans
-//!   visible.
+//!   visible. Every artifact has one renderer that streams into an
+//!   `io::Write` sink; [`Recorder::write_dir`] streams each file from
+//!   the recorder's core with no snapshot (see [`export`]).
 //!
 //! Determinism is part of the contract: event recording never perturbs
 //! simulation results, and with a fixed seed the emitted event log is

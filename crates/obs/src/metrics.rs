@@ -6,10 +6,12 @@
 //! so exported output is deterministically ordered.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::io::{self, Write};
 
 use polca_stats::histogram::Histogram;
 
-use crate::json::{esc, num};
+use crate::json::{render, Esc, Num};
 
 /// The partition a metric series belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -29,15 +31,18 @@ pub enum Label {
     Datacenter(usize),
 }
 
-impl Label {
-    fn json(&self) -> String {
-        match self {
-            Label::Global => "null".to_string(),
-            Label::Server(i) => format!("{{\"server\":{i}}}"),
-            Label::Tag(t) => format!("\"{}\"", esc(t)),
-            Label::Row(i) => format!("{{\"row\":{i}}}"),
-            Label::Pdu(i) => format!("{{\"pdu\":{i}}}"),
-            Label::Datacenter(i) => format!("{{\"datacenter\":{i}}}"),
+/// Displays a [`Label`] as its `metrics.json` value.
+struct LabelJson(Label);
+
+impl fmt::Display for LabelJson {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Label::Global => f.write_str("null"),
+            Label::Server(i) => write!(f, "{{\"server\":{i}}}"),
+            Label::Tag(t) => write!(f, "\"{}\"", Esc(t)),
+            Label::Row(i) => write!(f, "{{\"row\":{i}}}"),
+            Label::Pdu(i) => write!(f, "{{\"pdu\":{i}}}"),
+            Label::Datacenter(i) => write!(f, "{{\"datacenter\":{i}}}"),
         }
     }
 }
@@ -279,56 +284,53 @@ impl MetricsRegistry {
 
     /// Serializes the whole registry as pretty-stable JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"counters\": [");
-        let mut first = true;
-        for (name, label, v) in self.counters() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {{\"name\":\"{}\",\"label\":{},\"value\":{v}}}",
-                esc(name),
-                label.json()
-            ));
+        render(|w| self.write_json(w))
+    }
+
+    /// Writes the whole registry as pretty-stable JSON (the
+    /// `metrics.json` body) into `w`.
+    pub fn write_json(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(b"{\n  \"counters\": [")?;
+        for (i, (name, label, v)) in self.counters().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            write!(
+                w,
+                "{sep}\n    {{\"name\":\"{}\",\"label\":{},\"value\":{v}}}",
+                Esc(name),
+                LabelJson(label)
+            )?;
         }
-        s.push_str("\n  ],\n  \"gauges\": [");
-        first = true;
-        for (name, label, v) in self.gauges() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {{\"name\":\"{}\",\"label\":{},\"value\":{}}}",
-                esc(name),
-                label.json(),
-                num(v)
-            ));
+        w.write_all(b"\n  ],\n  \"gauges\": [")?;
+        for (i, (name, label, v)) in self.gauges().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            write!(
+                w,
+                "{sep}\n    {{\"name\":\"{}\",\"label\":{},\"value\":{}}}",
+                Esc(name),
+                LabelJson(label),
+                Num(v)
+            )?;
         }
-        s.push_str("\n  ],\n  \"histograms\": [");
-        first = true;
-        for (name, label, h) in self.histograms() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let stat = |o: Option<f64>| o.map(num).unwrap_or_else(|| "null".to_string());
-            s.push_str(&format!(
-                "\n    {{\"name\":\"{}\",\"label\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p99\":{}}}",
-                esc(name),
-                label.json(),
+        w.write_all(b"\n  ],\n  \"histograms\": [")?;
+        for (i, (name, label, h)) in self.histograms().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            // An absent statistic renders as `null`, like a non-finite one.
+            let stat = |o: Option<f64>| Num(o.unwrap_or(f64::NAN));
+            write!(
+                w,
+                "{sep}\n    {{\"name\":\"{}\",\"label\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p99\":{}}}",
+                Esc(name),
+                LabelJson(label),
                 h.count(),
-                num(h.sum()),
+                Num(h.sum()),
                 stat(h.min()),
                 stat(h.max()),
                 stat(h.mean()),
                 stat(h.quantile(0.50)),
                 stat(h.quantile(0.99)),
-            ));
+            )?;
         }
-        s.push_str("\n  ]\n}\n");
-        s
+        w.write_all(b"\n  ]\n}\n")
     }
 
     /// Serializes the registry in the Prometheus text exposition format
@@ -346,111 +348,161 @@ impl MetricsRegistry {
     ///   summaries), then name, then label — inherited from the
     ///   `BTreeMap` storage, so repeated exports are byte-identical.
     pub fn to_prometheus(&self) -> String {
-        fn name_of(raw: &str, suffix: &str) -> String {
-            let mut n: String = raw
-                .chars()
-                .map(|c| {
-                    if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                        c
-                    } else {
-                        '_'
-                    }
-                })
-                .collect();
-            if n.starts_with(|c: char| c.is_ascii_digit()) {
-                n.insert(0, '_');
-            }
-            n.push_str(suffix);
-            n
-        }
-        fn label_escape(v: &str) -> String {
-            v.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
-        fn label_of(label: Label, extra: Option<(&str, &str)>) -> String {
-            let mut pairs: Vec<String> = Vec::new();
-            match label {
-                Label::Global => {}
-                Label::Server(i) => pairs.push(format!("server=\"{i}\"")),
-                Label::Tag(t) => pairs.push(format!("tag=\"{}\"", label_escape(t))),
-                Label::Row(i) => pairs.push(format!("row=\"{i}\"")),
-                Label::Pdu(i) => pairs.push(format!("pdu=\"{i}\"")),
-                Label::Datacenter(i) => pairs.push(format!("datacenter=\"{i}\"")),
-            }
-            if let Some((k, v)) = extra {
-                pairs.push(format!("{k}=\"{}\"", label_escape(v)));
-            }
-            if pairs.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", pairs.join(","))
-            }
-        }
-        fn value_of(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else if v.is_nan() {
-                "NaN".to_string()
-            } else if v > 0.0 {
-                "+Inf".to_string()
-            } else {
-                "-Inf".to_string()
-            }
-        }
+        render(|w| self.write_prometheus(w))
+    }
 
-        struct Family(Option<String>);
-        impl Family {
-            fn type_line(&mut self, s: &mut String, family: &str, kind: &str) {
-                if self.0.as_deref() != Some(family) {
-                    s.push_str(&format!("# TYPE {family} {kind}\n"));
-                    self.0 = Some(family.to_string());
-                }
-            }
-        }
-
-        let mut s = String::new();
-        let mut fam = Family(None);
+    /// Writes the registry in the Prometheus text exposition format
+    /// into `w` (see [`to_prometheus`](Self::to_prometheus)).
+    pub fn write_prometheus(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut fam = Family::default();
         for (name, label, v) in self.counters() {
-            let family = name_of(name, "_total");
-            fam.type_line(&mut s, &family, "counter");
-            s.push_str(&format!("{family}{} {v}\n", label_of(label, None)));
+            let family = fam.enter(w, name, "_total", "counter")?;
+            writeln!(w, "{family}{} {v}", PromLabels(label, None))?;
         }
-        let mut fam = Family(None);
+        let mut fam = Family::default();
         for (name, label, v) in self.gauges() {
-            let family = name_of(name, "");
-            fam.type_line(&mut s, &family, "gauge");
-            s.push_str(&format!(
-                "{family}{} {}\n",
-                label_of(label, None),
-                value_of(v)
-            ));
+            let family = fam.enter(w, name, "", "gauge")?;
+            writeln!(w, "{family}{} {}", PromLabels(label, None), PromValue(v))?;
         }
-        let mut fam = Family(None);
+        let mut fam = Family::default();
         for (name, label, h) in self.histograms() {
-            let family = name_of(name, "");
-            fam.type_line(&mut s, &family, "summary");
+            let family = fam.enter(w, name, "", "summary")?;
             for (q, qv) in [("0.5", h.quantile(0.50)), ("0.99", h.quantile(0.99))] {
                 if let Some(qv) = qv {
-                    s.push_str(&format!(
-                        "{family}{} {}\n",
-                        label_of(label, Some(("quantile", q))),
-                        value_of(qv)
-                    ));
+                    writeln!(
+                        w,
+                        "{family}{} {}",
+                        PromLabels(label, Some(("quantile", q))),
+                        PromValue(qv)
+                    )?;
                 }
             }
-            s.push_str(&format!(
-                "{family}_sum{} {}\n",
-                label_of(label, None),
-                value_of(h.sum())
-            ));
-            s.push_str(&format!(
-                "{family}_count{} {}\n",
-                label_of(label, None),
-                h.count()
-            ));
+            let labels = PromLabels(label, None);
+            writeln!(w, "{family}_sum{labels} {}", PromValue(h.sum()))?;
+            writeln!(w, "{family}_count{labels} {}", h.count())?;
         }
-        s
+        Ok(())
+    }
+}
+
+/// The Prometheus family a run of series belongs to: its `# TYPE` line
+/// is written once, when the sanitized family name changes.
+#[derive(Default)]
+struct Family {
+    raw: Option<&'static str>,
+    name: Option<String>,
+}
+
+impl Family {
+    /// Enters the family of series `raw` (writing its `# TYPE` line if
+    /// it differs from the previous series') and returns its name.
+    fn enter(
+        &mut self,
+        w: &mut impl Write,
+        raw: &'static str,
+        suffix: &str,
+        kind: &str,
+    ) -> io::Result<&str> {
+        if self.raw != Some(raw) {
+            self.raw = Some(raw);
+            let name = prom_name(raw, suffix);
+            if self.name.as_deref() != Some(name.as_str()) {
+                writeln!(w, "# TYPE {name} {kind}")?;
+                self.name = Some(name);
+            }
+        }
+        Ok(self.name.as_deref().unwrap_or_default())
+    }
+}
+
+/// A metric name sanitized to `[a-zA-Z0-9_:]`, never starting with a
+/// digit, with `suffix` appended.
+fn prom_name(raw: &str, suffix: &str) -> String {
+    let mut n: String = raw
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    if n.starts_with(|c: char| c.is_ascii_digit()) {
+        n.insert(0, '_');
+    }
+    n.push_str(suffix);
+    n
+}
+
+/// Displays a Prometheus label value with backslash, quote, and
+/// newline escaped.
+struct PromEsc<'a>(&'a str);
+
+impl fmt::Display for PromEsc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut clean = 0;
+        for (i, c) in self.0.char_indices() {
+            let escaped = match c {
+                '\\' => "\\\\",
+                '"' => "\\\"",
+                '\n' => "\\n",
+                _ => continue,
+            };
+            f.write_str(&self.0[clean..i])?;
+            f.write_str(escaped)?;
+            clean = i + 1;
+        }
+        f.write_str(&self.0[clean..])
+    }
+}
+
+/// Displays a series' label set (`{server="3"}`, plus an optional
+/// extra pair such as the summary quantile); nothing for an unlabeled
+/// series.
+struct PromLabels<'a>(Label, Option<(&'a str, &'a str)>);
+
+impl fmt::Display for PromLabels<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut open = false;
+        let mut pair = |f: &mut fmt::Formatter<'_>, pair: fmt::Arguments<'_>| {
+            f.write_str(if open { "," } else { "{" })?;
+            open = true;
+            f.write_fmt(pair)
+        };
+        match self.0 {
+            Label::Global => {}
+            Label::Server(i) => pair(f, format_args!("server=\"{i}\""))?,
+            Label::Tag(t) => pair(f, format_args!("tag=\"{}\"", PromEsc(t)))?,
+            Label::Row(i) => pair(f, format_args!("row=\"{i}\""))?,
+            Label::Pdu(i) => pair(f, format_args!("pdu=\"{i}\""))?,
+            Label::Datacenter(i) => pair(f, format_args!("datacenter=\"{i}\""))?,
+        }
+        if let Some((k, v)) = self.1 {
+            pair(f, format_args!("{k}=\"{}\"", PromEsc(v)))?;
+        }
+        if open {
+            f.write_str("}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Displays a sample value: shortest round-trip, or `NaN`/`+Inf`/`-Inf`.
+struct PromValue(f64);
+
+impl fmt::Display for PromValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v.is_finite() {
+            fmt::Display::fmt(&v, f)
+        } else if v.is_nan() {
+            f.write_str("NaN")
+        } else if v > 0.0 {
+            f.write_str("+Inf")
+        } else {
+            f.write_str("-Inf")
+        }
     }
 }
 

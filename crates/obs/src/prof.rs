@@ -37,11 +37,13 @@
 //! seed.
 
 use std::cell::RefCell;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::json::esc;
+use crate::chrome::TraceEvents;
+use crate::json::{render, Esc};
 
 /// The fixed alphabet of profiled hot-path phases.
 ///
@@ -549,46 +551,49 @@ impl ProfSnapshot {
     /// plus every derived counter. Wall-clock values, so
     /// non-deterministic — kept out of the event log.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"phases\": [");
-        let mut first = true;
+        render(|w| self.write_json(w))
+    }
+
+    /// Writes the `prof.json` body (see [`to_json`](Self::to_json))
+    /// into `w`.
+    pub fn write_json(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(b"{\n  \"phases\": [")?;
+        let mut sep = "";
         for phase in Phase::ALL {
             let a = self.get(phase);
             if a.calls == 0 {
                 continue;
             }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {{\"phase\":\"{}\",\"calls\":{},\"total_ns\":{},\"self_ns\":{},\"mean_self_ns\":{:.1},\"max_ns\":{}}}",
-                esc(phase.name()),
+            write!(
+                w,
+                "{sep}\n    {{\"phase\":\"{}\",\"calls\":{},\"total_ns\":{},\"self_ns\":{},\"mean_self_ns\":{:.1},\"max_ns\":{}}}",
+                Esc(phase.name()),
                 a.calls,
                 a.total_ns,
                 a.self_ns,
                 a.mean_self_ns(),
                 a.max_ns,
-            ));
+            )?;
+            sep = ",";
         }
-        s.push_str("\n  ],\n  \"counters\": {");
+        w.write_all(b"\n  ],\n  \"counters\": {")?;
         for (i, counter) in ProfCounter::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    \"{}\": {}",
+            let sep = if i > 0 { "," } else { "" };
+            write!(
+                w,
+                "{sep}\n    \"{}\": {}",
                 counter.name(),
                 self.counter(*counter)
-            ));
+            )?;
         }
-        s.push_str("\n  }");
+        w.write_all(b"\n  }")?;
         if let Some(occ) = self.batched_tick_occupancy() {
-            s.push_str(&format!(
+            write!(
+                w,
                 ",\n  \"derived\": {{\n    \"batched_tick_occupancy\": {occ:.3}\n  }}"
-            ));
+            )?;
         }
-        s.push_str("\n}\n");
-        s
+        w.write_all(b"\n}\n")
     }
 
     /// Collapsed-stack ("folded") output: one `path count` line per
@@ -596,15 +601,19 @@ impl ProfSnapshot {
     /// speedscope (<https://speedscope.app>) or through
     /// `flamegraph.pl`.
     pub fn folded(&self) -> String {
-        let mut s = String::new();
+        render(|w| self.write_folded(w))
+    }
+
+    /// Writes the `prof.folded` body (see [`folded`](Self::folded))
+    /// into `w`.
+    pub fn write_folded(&self, w: &mut impl Write) -> io::Result<()> {
         for phase in Phase::ALL {
             let a = self.get(phase);
-            if a.calls == 0 {
-                continue;
+            if a.calls > 0 {
+                writeln!(w, "{} {}", phase.stack(), a.self_ns)?;
             }
-            s.push_str(&format!("{} {}\n", phase.stack(), a.self_ns));
         }
-        s
+        Ok(())
     }
 
     /// A Chrome trace-event document laying the phases out as
@@ -612,17 +621,21 @@ impl ProfSnapshot {
     /// an at-a-glance breakdown that opens in Perfetto next to the
     /// simulation's own `trace.json`.
     pub fn chrome_trace_json(&self) -> String {
-        let mut out: Vec<String> = Vec::new();
-        out.push(
-            "{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"polca-prof\"}}"
-                .to_string(),
-        );
-        out.push(
-            "{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"thread_name\",\
-             \"args\":{\"name\":\"self-time\"}}"
-                .to_string(),
-        );
+        render(|w| self.write_chrome_trace(w))
+    }
+
+    /// Writes the `prof.trace.json` body (see
+    /// [`chrome_trace_json`](Self::chrome_trace_json)) into `w`.
+    pub fn write_chrome_trace(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut doc = TraceEvents::begin(w)?;
+        doc.entry()?.write_all(
+            b"{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\
+              \"args\":{\"name\":\"polca-prof\"}}",
+        )?;
+        doc.entry()?.write_all(
+            b"{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"thread_name\",\
+              \"args\":{\"name\":\"self-time\"}}",
+        )?;
         let mut ts_us = 0.0_f64;
         for phase in Phase::ALL {
             let a = self.get(phase);
@@ -630,20 +643,18 @@ impl ProfSnapshot {
                 continue;
             }
             let dur_us = a.self_ns as f64 / 1e3;
-            out.push(format!(
+            write!(
+                doc.entry()?,
                 "{{\"ph\":\"X\",\"pid\":2,\"tid\":0,\"name\":\"{}\",\"cat\":\"prof\",\
                  \"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\"args\":{{\"calls\":{},\"total_ns\":{},\"max_ns\":{}}}}}",
-                esc(phase.name()),
+                Esc(phase.name()),
                 a.calls,
                 a.total_ns,
                 a.max_ns,
-            ));
+            )?;
             ts_us += dur_us;
         }
-        let mut doc = String::from("{\"traceEvents\":[\n");
-        doc.push_str(&out.join(",\n"));
-        doc.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        doc
+        doc.finish()
     }
 
     /// Prometheus text-exposition lines for the *deterministic* subset
@@ -651,48 +662,51 @@ impl ProfSnapshot {
     /// Wall-clock nanoseconds stay out so `metrics.prom` remains a pure
     /// function of the seed. Empty string when nothing was recorded.
     pub fn to_prometheus(&self) -> String {
+        render(|w| self.write_prometheus(w))
+    }
+
+    /// Writes the deterministic Prometheus lines (see
+    /// [`to_prometheus`](Self::to_prometheus)) into `w`; nothing when
+    /// nothing was recorded.
+    pub fn write_prometheus(&self, w: &mut impl Write) -> io::Result<()> {
         if self.is_empty() {
-            return String::new();
+            return Ok(());
         }
-        let mut s = String::new();
-        s.push_str("# TYPE polca_prof_phase_calls_total counter\n");
+        w.write_all(b"# TYPE polca_prof_phase_calls_total counter\n")?;
         for phase in Phase::ALL {
             let a = self.get(phase);
-            if a.calls == 0 {
-                continue;
+            if a.calls > 0 {
+                writeln!(
+                    w,
+                    "polca_prof_phase_calls_total{{phase=\"{}\"}} {}",
+                    phase.name(),
+                    a.calls
+                )?;
             }
-            s.push_str(&format!(
-                "polca_prof_phase_calls_total{{phase=\"{}\"}} {}\n",
-                phase.name(),
-                a.calls
-            ));
         }
         for counter in ProfCounter::ALL {
             let v = self.counter(counter);
             if v == 0 {
                 continue;
             }
+            let name = counter.name();
             if counter.merges_by_max() {
-                s.push_str(&format!(
-                    "# TYPE polca_prof_{} gauge\npolca_prof_{} {v}\n",
-                    counter.name(),
-                    counter.name()
-                ));
+                write!(w, "# TYPE polca_prof_{name} gauge\npolca_prof_{name} {v}\n")?;
             } else {
-                s.push_str(&format!(
-                    "# TYPE polca_prof_{}_total counter\npolca_prof_{}_total {v}\n",
-                    counter.name(),
-                    counter.name()
-                ));
+                write!(
+                    w,
+                    "# TYPE polca_prof_{name}_total counter\npolca_prof_{name}_total {v}\n"
+                )?;
             }
         }
         if let Some(occ) = self.batched_tick_occupancy() {
-            s.push_str(&format!(
+            write!(
+                w,
                 "# TYPE polca_prof_batched_tick_occupancy gauge\n\
                  polca_prof_batched_tick_occupancy {occ:.3}\n"
-            ));
+            )?;
         }
-        s
+        Ok(())
     }
 
     /// Renders the per-component attribution table against a measured

@@ -15,9 +15,10 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::energy::{EnergyPlan, RowEnergy};
+use crate::chrome::Annotation;
+use crate::energy::{EnergyLedger, EnergyPlan, RowEnergy};
 use crate::event::Event;
-use crate::export::RunArtifacts;
+use crate::export::{Export, RunArtifacts};
 use crate::metrics::{Label, MetricsRegistry};
 use crate::prof::{Phase, ProfCounter, ProfGuard, ProfSnapshot, Profiler};
 use crate::req::{ReqRecord, ReqTraceConfig};
@@ -469,19 +470,61 @@ impl Recorder {
         }
     }
 
+    /// The polca-energy ledger over the row accounts landed so far
+    /// (empty when none were) — without snapshotting the event log.
+    pub fn energy_ledger(&self) -> EnergyLedger {
+        match self.lock() {
+            Some(core) => EnergyLedger::from_rows(&core.energy_rows),
+            None => EnergyLedger::from_rows(&[]),
+        }
+    }
+
+    /// Runs `read` over the stored polca-req records (empty when none
+    /// are stored) — without snapshotting the event log.
+    pub fn with_requests<R>(&self, read: impl FnOnce(&[ReqRecord]) -> R) -> R {
+        match self.lock() {
+            Some(core) => read(&core.requests),
+            None => read(&[]),
+        }
+    }
+
     /// Writes the level-appropriate artifact files into `dir`
     /// (creating it), returning the paths written. A disabled recorder
     /// writes nothing.
-    /// Recorder I/O time lands in the [`Phase::RecorderIo`] phase; as
-    /// the snapshot is taken before the files are rendered, it shows
-    /// up in *subsequent* exports (e.g. the attribution table printed
-    /// after the artifacts are on disk).
     pub fn write_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        if !self.is_enabled() {
+        self.write_dir_annotated(dir, &[])
+    }
+
+    /// [`write_dir`](Self::write_dir) with `annotations` (the watch
+    /// plane's alert and incident markers) merged onto `trace.json`'s
+    /// cluster track.
+    ///
+    /// Every file streams from the core under one lock, with no
+    /// snapshot. Recorder I/O time lands in the [`Phase::RecorderIo`]
+    /// phase; as the profile is read before the files are rendered,
+    /// this call shows up only in *subsequent* exports (e.g. the
+    /// attribution table printed after the artifacts are on disk), so
+    /// the `metrics.prom` it writes does not count it.
+    pub fn write_dir_annotated(
+        &self,
+        dir: &Path,
+        annotations: &[Annotation],
+    ) -> io::Result<Vec<PathBuf>> {
+        let Some(core) = self.lock() else {
             return Ok(Vec::new());
-        }
+        };
         let _io = self.prof.time(Phase::RecorderIo);
-        self.artifacts().write_dir(dir)
+        let prof = self.prof.snapshot();
+        Export::new(
+            self.level,
+            &core.events,
+            &core.metrics,
+            &core.requests,
+            self.req.is_some(),
+            &core.energy_rows,
+            &prof,
+        )
+        .write_dir(dir, annotations)
     }
 }
 
@@ -811,5 +854,70 @@ mod tests {
             a.metrics.gauge("sim.queue_depth_last", Label::Global),
             Some(1.0)
         );
+    }
+
+    #[test]
+    fn recorder_io_shows_up_only_in_later_exports() {
+        let dir = std::env::temp_dir().join(format!(
+            "polca-recorder-io-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let r = Recorder::new(ObsLevel::Full);
+        {
+            let _g = r.prof().time(Phase::Dispatch);
+        }
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let calls = "polca_prof_phase_calls_total{phase=\"obs.recorder_io\"}";
+        r.write_dir(&dir).unwrap();
+        assert!(!read("metrics.prom").contains(calls));
+        assert!(!read("prof.json").contains("\"obs.recorder_io\""));
+        r.write_dir(&dir).unwrap();
+        assert!(read("metrics.prom").contains(&format!("{calls} 1\n")));
+        assert!(read("prof.json").contains("\"phase\":\"obs.recorder_io\",\"calls\":1,"));
+        assert_eq!(r.prof().snapshot().get(Phase::RecorderIo).calls, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_dir_reports_io_errors() {
+        let file = std::env::temp_dir().join(format!(
+            "polca-recorder-not-a-dir-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&file, "x").unwrap();
+        let r = Recorder::new(ObsLevel::Events);
+        r.record(Event::Uncap { t: 1.0, server: 0 });
+        assert!(r.write_dir(&file.join("obs")).is_err());
+        // A disabled recorder writes nothing, so it cannot fail.
+        assert!(Recorder::disabled()
+            .write_dir(&file.join("obs"))
+            .unwrap()
+            .is_empty());
+        std::fs::remove_file(&file).unwrap();
+    }
+
+    #[test]
+    fn summaries_read_the_core_without_a_snapshot() {
+        use crate::energy::{CarbonSignal, EnergyAccum, EnergyPlan};
+        let plan = EnergyPlan::new(CarbonSignal::Constant(100.0));
+        let r = Recorder::new(ObsLevel::Events)
+            .with_req_trace(ReqTraceConfig::default())
+            .with_energy(plan.clone());
+        assert!(r.energy_ledger().is_empty());
+        let mut acc = EnergyAccum::new(plan, 0.0, 100.0, 0.0, &[("aggregated", 100.0)]);
+        acc.tick(3600.0, 100.0, 0.0, &[("aggregated", 100.0)]);
+        r.record_energy(acc.finish(3600.0, 0.0));
+        r.record_request(&req_record(4));
+        assert_eq!(r.energy_ledger(), r.artifacts().energy_ledger());
+        assert_eq!(
+            r.with_requests(|reqs| reqs.to_vec()),
+            r.artifacts().requests
+        );
+        let off = Recorder::disabled();
+        assert!(off.energy_ledger().is_empty());
+        assert_eq!(off.with_requests(|reqs| reqs.len()), 0);
     }
 }

@@ -30,7 +30,10 @@
 //! canonical cell order, so `requests.jsonl` is byte-identical at a
 //! fixed seed regardless of `--jobs`.
 
-use crate::json::{esc, num};
+use std::io::{self, Write};
+
+use crate::chrome::TraceEvents;
+use crate::json::{render, Esc, Num};
 
 /// Request-tracing configuration carried by a
 /// [`Recorder`](crate::Recorder).
@@ -202,99 +205,109 @@ impl ReqRecord {
     /// Serializes the record as a single JSON object (one
     /// `requests.jsonl` line, without the trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        s.push_str(&format!("\"id\":{}", self.id));
-        s.push_str(&format!(",\"priority\":\"{}\"", esc(self.priority)));
-        s.push_str(&format!(",\"server\":{}", self.server));
-        s.push_str(&format!(",\"arrival_s\":{}", num(self.arrival_s)));
-        s.push_str(&format!(",\"started_s\":{}", num(self.started_s)));
-        s.push_str(&format!(",\"first_token_s\":{}", num(self.first_token_s)));
-        s.push_str(&format!(",\"completed_s\":{}", num(self.completed_s)));
-        s.push_str(&format!(",\"input_tokens\":{}", self.input_tokens));
-        s.push_str(&format!(",\"output_tokens\":{}", self.output_tokens));
-        s.push_str(&format!(",\"queue_s\":{}", num(self.queue_s)));
-        s.push_str(&format!(",\"ttft_s\":{}", num(self.ttft_s)));
-        s.push_str(&format!(",\"tbt_mean_s\":{}", num(self.tbt_mean_s)));
-        s.push_str(&format!(",\"tbt_max_s\":{}", num(self.tbt_max_s)));
-        s.push_str(&format!(",\"prefill_s\":{}", num(self.prefill_s)));
-        s.push_str(&format!(",\"decode_s\":{}", num(self.decode_s)));
-        s.push_str(&format!(",\"preemptions\":{}", self.preemptions));
-        s.push_str(&format!(
-            ",\"recompute_tokens\":{}",
-            num(self.recompute_tokens)
-        ));
-        s.push_str(&format!(",\"recompute_s\":{}", num(self.recompute_s)));
-        s.push_str(&format!(",\"kv_hops\":{}", self.kv_hops));
-        s.push_str(&format!(",\"kv_ship_s\":{}", num(self.kv_ship_s)));
-        s.push_str(&format!(",\"joules\":{}", num(self.joules)));
-        s.push_str(&format!(
-            ",\"joules_per_token\":{}",
-            num(self.joules_per_token)
-        ));
-        s.push_str(&format!(",\"co2e_g\":{}", num(self.co2e_g)));
-        s.push_str(&format!(",\"pue_applied\":{}", num(self.pue_applied)));
-        s.push('}');
-        s
+        render(|w| self.write_json(w))
+    }
+
+    /// Writes the record as a single JSON object (one `requests.jsonl`
+    /// line, without the trailing newline) into `w`.
+    pub fn write_json(&self, w: &mut impl Write) -> io::Result<()> {
+        write!(
+            w,
+            "{{\"id\":{},\"priority\":\"{}\",\"server\":{},\"arrival_s\":{},\"started_s\":{},\
+             \"first_token_s\":{},\"completed_s\":{},\"input_tokens\":{},\"output_tokens\":{},\
+             \"queue_s\":{},\"ttft_s\":{},\"tbt_mean_s\":{},\"tbt_max_s\":{},\"prefill_s\":{},\
+             \"decode_s\":{},\"preemptions\":{},\"recompute_tokens\":{},\"recompute_s\":{},\
+             \"kv_hops\":{},\"kv_ship_s\":{},\"joules\":{},\"joules_per_token\":{},\"co2e_g\":{},\
+             \"pue_applied\":{}}}",
+            self.id,
+            Esc(self.priority),
+            self.server,
+            Num(self.arrival_s),
+            Num(self.started_s),
+            Num(self.first_token_s),
+            Num(self.completed_s),
+            self.input_tokens,
+            self.output_tokens,
+            Num(self.queue_s),
+            Num(self.ttft_s),
+            Num(self.tbt_mean_s),
+            Num(self.tbt_max_s),
+            Num(self.prefill_s),
+            Num(self.decode_s),
+            self.preemptions,
+            Num(self.recompute_tokens),
+            Num(self.recompute_s),
+            self.kv_hops,
+            Num(self.kv_ship_s),
+            Num(self.joules),
+            Num(self.joules_per_token),
+            Num(self.co2e_g),
+            Num(self.pue_applied),
+        )
     }
 }
 
-/// Renders records as JSON Lines (the `requests.jsonl` body).
-pub fn requests_jsonl(records: &[ReqRecord]) -> String {
-    let mut s = String::new();
+/// Writes records as JSON Lines (the `requests.jsonl` body) into `w`.
+pub fn write_requests_jsonl(w: &mut impl Write, records: &[ReqRecord]) -> io::Result<()> {
     for r in records {
-        s.push_str(&r.to_json());
-        s.push('\n');
+        r.write_json(w)?;
+        w.write_all(b"\n")?;
     }
-    s
+    Ok(())
 }
 
-/// Renders records as Chrome trace-event lines on a dedicated
-/// `polca-req` process (pid 2): one lane per serving server, a
-/// complete span per request from admission to completion, and an
-/// instant marker at the first token. Merged into `trace.json` by
-/// [`RunArtifacts`](crate::RunArtifacts) when request tracing is on.
-pub fn chrome_request_lanes(records: &[ReqRecord]) -> Vec<String> {
+/// Writes records as Chrome trace events on a dedicated `polca-req`
+/// process (pid 2): one lane per serving server, a complete span per
+/// request from admission to completion, and an instant marker at the
+/// first token. Merged into `trace.json` when request tracing is on;
+/// writes nothing when there are no records.
+pub fn write_request_lanes<W: Write>(
+    doc: &mut TraceEvents<'_, W>,
+    records: &[ReqRecord],
+) -> io::Result<()> {
     const PID: u32 = 2;
     if records.is_empty() {
-        return Vec::new();
+        return Ok(());
     }
-    let us = |t: f64| num(t * 1e6);
-    let mut out = Vec::new();
-    out.push(format!(
+    let us = |t: f64| Num(t * 1e6);
+    write!(
+        doc.entry()?,
         "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"polca-req\"}}}}"
-    ));
+    )?;
     let mut servers: Vec<usize> = records.iter().map(|r| r.server).collect();
     servers.sort_unstable();
     servers.dedup();
     for s in &servers {
-        out.push(format!(
+        write!(
+            doc.entry()?,
             "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"req-server-{s}\"}}}}",
             s + 1
-        ));
+        )?;
     }
     for r in records {
         let tid = r.server + 1;
-        out.push(format!(
+        write!(
+            doc.entry()?,
             "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{tid},\"name\":\"req-{}\",\"cat\":\"request\",\"ts\":{},\"dur\":{},\"args\":{{\"priority\":\"{}\",\"ttft_s\":{},\"tbt_mean_s\":{},\"tbt_max_s\":{},\"preemptions\":{},\"joules\":{},\"joules_per_token\":{}}}}}",
             r.id,
             us(r.started_s),
             us((r.completed_s - r.started_s).max(0.0)),
-            esc(r.priority),
-            num(r.ttft_s),
-            num(r.tbt_mean_s),
-            num(r.tbt_max_s),
+            Esc(r.priority),
+            Num(r.ttft_s),
+            Num(r.tbt_mean_s),
+            Num(r.tbt_max_s),
             r.preemptions,
-            num(r.joules),
-            num(r.joules_per_token),
-        ));
-        out.push(format!(
+            Num(r.joules),
+            Num(r.joules_per_token),
+        )?;
+        write!(
+            doc.entry()?,
             "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{tid},\"name\":\"first_token\",\"s\":\"t\",\"ts\":{},\"args\":{{\"request\":{}}}}}",
             us(r.first_token_s),
             r.id,
-        ));
+        )?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -368,19 +381,25 @@ mod tests {
         // The carbon fields sit last, in stable order, with ledger-off
         // defaults.
         assert!(j.ends_with(",\"co2e_g\":0,\"pue_applied\":1}"), "{j}");
-        assert_eq!(requests_jsonl(&[r]).lines().count(), 1);
+        let jsonl = render(|w| write_requests_jsonl(w, &[r]));
+        assert_eq!(jsonl.lines().count(), 1);
     }
 
     #[test]
     fn chrome_lanes_pair_span_and_first_token() {
         let r = span().finish(7, "high", 3, 9.0, 10.0, 20.0, 1024, 81);
-        let lanes = chrome_request_lanes(&[r]);
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"polca-req\"")));
-        assert!(lanes
-            .iter()
-            .any(|l| l.contains("\"name\":\"req-server-3\"")));
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"req-7\"")));
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"first_token\"")));
-        assert!(chrome_request_lanes(&[]).is_empty());
+        let lanes = |records: &[ReqRecord]| {
+            render(|w| {
+                let mut doc = TraceEvents::begin(w)?;
+                write_request_lanes(&mut doc, records)?;
+                doc.finish()
+            })
+        };
+        let doc = lanes(&[r]);
+        assert_eq!(doc.lines().count(), 2 + 4, "{doc}");
+        for name in ["polca-req", "req-server-3", "req-7", "first_token"] {
+            assert!(doc.contains(&format!("\"name\":\"{name}\"")), "{doc}");
+        }
+        assert_eq!(lanes(&[]), render(|w| TraceEvents::begin(w)?.finish()));
     }
 }

@@ -25,9 +25,9 @@
 //! a zero-hold rule, the lag is exactly 2 s.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
-use polca_obs::json::{esc, num};
+use polca_obs::json::{render, Esc, Num};
 
 use crate::engine::Alert;
 use crate::rules::Severity;
@@ -94,41 +94,45 @@ impl Incident {
     /// Serializes the incident as one JSONL line (stable key order,
     /// `null` for absent optionals, no trailing newline).
     pub fn to_json(&self) -> String {
-        fn opt(v: Option<f64>) -> String {
-            v.map(num).unwrap_or_else(|| "null".to_string())
-        }
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"id\":{},\"rule\":\"{}\",\"severity\":\"{}\",\"state\":\"{}\"",
+        render(|w| self.write_json(w))
+    }
+
+    /// Writes the incident as one JSONL line (see
+    /// [`to_json`](Self::to_json)) into `w`.
+    pub fn write_json(&self, w: &mut impl Write) -> io::Result<()> {
+        // An absent optional renders as `null`, like a non-finite value.
+        let opt = |v: Option<f64>| Num(v.unwrap_or(f64::NAN));
+        write!(
+            w,
+            "{{\"id\":{},\"rule\":\"{}\",\"severity\":\"{}\",\"state\":\"{}\"\
+             ,\"opened_t\":{},\"truth_t\":{},\"detection_lag_s\":{}\
+             ,\"escalated_t\":{},\"mitigated_t\":{},\"resolved_t\":{}\
+             ,\"alerts\":{},\"peak_value\":{},\"detail\":\"{}\"}}",
             self.id,
-            esc(&self.rule),
+            Esc(&self.rule),
             self.severity,
-            self.state.tag()
-        );
-        let _ = write!(
-            s,
-            ",\"opened_t\":{},\"truth_t\":{},\"detection_lag_s\":{}",
-            num(self.opened_t),
+            self.state.tag(),
+            Num(self.opened_t),
             opt(self.truth_t),
-            opt(self.detection_lag_s)
-        );
-        let _ = write!(
-            s,
-            ",\"escalated_t\":{},\"mitigated_t\":{},\"resolved_t\":{}",
+            opt(self.detection_lag_s),
             opt(self.escalated_t),
             opt(self.mitigated_t),
-            opt(self.resolved_t)
-        );
-        let _ = write!(
-            s,
-            ",\"alerts\":{},\"peak_value\":{},\"detail\":\"{}\"}}",
+            opt(self.resolved_t),
             self.alerts,
-            num(self.peak_value),
-            esc(&self.detail)
-        );
-        s
+            Num(self.peak_value),
+            Esc(&self.detail)
+        )
     }
+}
+
+/// Writes incidents as JSON Lines (the `incidents.jsonl` body) into
+/// `w`.
+pub fn write_jsonl(w: &mut impl Write, incidents: &[Incident]) -> io::Result<()> {
+    for inc in incidents {
+        inc.write_json(w)?;
+        w.write_all(b"\n")?;
+    }
+    Ok(())
 }
 
 /// The incident store: correlation, escalation, and resolution policy.

@@ -42,12 +42,14 @@ pub mod incident;
 pub mod report;
 pub mod rules;
 
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::{fs, io};
 
 use polca::SloTargets;
 use polca_cluster::Priority;
+use polca_obs::json::render;
 use polca_obs::{Annotation, Event, EventTap, Recorder, ReqRecord};
 use polca_sim::SimTime;
 use polca_telemetry::{RowPowerSubscriber, RowPowerTaps};
@@ -258,17 +260,16 @@ impl WatchArtifacts {
 
     /// `incidents.jsonl`: one JSON object per incident.
     pub fn incidents_jsonl(&self) -> String {
-        let mut s = String::new();
-        for inc in &self.incidents {
-            s.push_str(&inc.to_json());
-            s.push('\n');
-        }
-        s
+        render(|w| incident::write_jsonl(w, &self.incidents))
     }
 
     /// `report.md`: the Markdown postmortem digest.
     pub fn report_md(&self) -> String {
-        report::render(&self.incidents, &self.alerts, &self.burn, self.t_end)
+        render(|w| self.write_report_md(w))
+    }
+
+    fn write_report_md(&self, w: &mut impl Write) -> io::Result<()> {
+        report::write(w, &self.incidents, &self.alerts, &self.burn, self.t_end)
     }
 
     /// Chrome-trace instant annotations: one per alert, plus one per
@@ -307,14 +308,20 @@ impl WatchArtifacts {
     pub fn write_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         fs::create_dir_all(dir)?;
         let mut written = Vec::new();
-        for (name, body) in [
-            ("incidents.jsonl", self.incidents_jsonl()),
-            ("report.md", self.report_md()),
-        ] {
+        let mut put = |name: &str,
+                       render: &dyn Fn(&mut BufWriter<File>) -> io::Result<()>|
+         -> io::Result<()> {
             let path = dir.join(name);
-            fs::write(&path, body)?;
+            let mut file = BufWriter::new(File::create(&path)?);
+            render(&mut file)?;
+            file.flush()?;
             written.push(path);
-        }
+            Ok(())
+        };
+        put("incidents.jsonl", &|w| {
+            incident::write_jsonl(w, &self.incidents)
+        })?;
+        put("report.md", &|w| self.write_report_md(w))?;
         Ok(written)
     }
 }

@@ -5,7 +5,8 @@
 //! accounting, and one postmortem section per incident with its
 //! timeline and detection-lag annotation.
 
-use std::fmt::Write as _;
+use std::fmt;
+use std::io;
 
 use polca_cluster::Priority;
 
@@ -14,8 +15,13 @@ use crate::engine::Alert;
 use crate::incident::{Incident, IncidentState};
 use crate::rules::Severity;
 
-fn fmt_t(t: f64) -> String {
-    format!("t={t:.1}s")
+/// Displays a simulated time as `t=12.5s`.
+struct FmtT(f64);
+
+impl fmt::Display for FmtT {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "t={:.1}s", self.0)
+    }
 }
 
 fn class_name(priority: Priority) -> &'static str {
@@ -25,150 +31,159 @@ fn class_name(priority: Priority) -> &'static str {
     }
 }
 
-/// Renders the full watch report.
-pub fn render(
+/// Writes the full watch report (the `report.md` body) into `w`.
+pub fn write(
+    w: &mut impl io::Write,
     incidents: &[Incident],
     alerts: &[Alert],
     burn: &[BurnSummary],
     t_end: f64,
-) -> String {
-    let mut s = String::with_capacity(2048);
-    let _ = writeln!(s, "# Watch report");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
+) -> io::Result<()> {
+    writeln!(w, "# Watch report")?;
+    writeln!(w)?;
+    writeln!(
+        w,
         "Run covered {:.0} s of simulated time. The watch plane saw only \
          the delayed out-of-band telemetry feed; ground-truth times below \
          are annotations added for detection-lag accounting.",
         t_end
-    );
-    let _ = writeln!(s);
+    )?;
+    writeln!(w)?;
 
     let crit = |sev: Severity| alerts.iter().filter(|a| a.severity == sev).count();
-    let _ = writeln!(s, "## Summary");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
+    writeln!(w, "## Summary")?;
+    writeln!(w)?;
+    writeln!(
+        w,
         "- alerts: {} ({} critical, {} warning)",
         alerts.len(),
         crit(Severity::Critical),
         crit(Severity::Warning)
-    );
+    )?;
     let open = incidents
         .iter()
         .filter(|i| i.state != IncidentState::Resolved)
         .count();
-    let _ = writeln!(
-        s,
+    writeln!(
+        w,
         "- incidents: {} ({} unresolved at end of run)",
         incidents.len(),
         open
-    );
+    )?;
     let lags: Vec<f64> = incidents.iter().filter_map(|i| i.detection_lag_s).collect();
     if !lags.is_empty() {
         let max = lags.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
         let mean = lags.iter().sum::<f64>() / lags.len() as f64;
-        let _ = writeln!(
-            s,
+        writeln!(
+            w,
             "- detection lag: mean {mean:.1} s, max {max:.1} s across {} incident(s) \
              with known ground truth",
             lags.len()
-        );
+        )?;
     }
-    let _ = writeln!(s);
+    writeln!(w)?;
 
-    let _ = writeln!(s, "## SLO burn");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
+    writeln!(w, "## SLO burn")?;
+    writeln!(w)?;
+    writeln!(
+        w,
         "| class | requests | over-latency | peak burn (5m) | peak burn (1h) |"
-    );
-    let _ = writeln!(
-        s,
+    )?;
+    writeln!(
+        w,
         "|-------|----------|--------------|----------------|----------------|"
-    );
+    )?;
     for b in burn {
-        let _ = writeln!(
-            s,
+        writeln!(
+            w,
             "| {} | {} | {} | {:.1}x | {:.1}x |",
             class_name(b.priority),
             b.total,
             b.bad,
             b.peak_fast_burn,
             b.peak_slow_burn
-        );
+        )?;
     }
-    let _ = writeln!(s);
+    writeln!(w)?;
 
     if incidents.is_empty() {
-        let _ = writeln!(s, "## Incidents");
-        let _ = writeln!(s);
-        let _ = writeln!(s, "No incidents: no rule fired during the run.");
-        return s;
+        writeln!(w, "## Incidents")?;
+        writeln!(w)?;
+        writeln!(w, "No incidents: no rule fired during the run.")?;
+        return Ok(());
     }
 
     for inc in incidents {
-        let _ = writeln!(
-            s,
+        writeln!(
+            w,
             "## Incident #{}: {} ({}, {})",
             inc.id,
             inc.rule,
             inc.severity,
             inc.state.tag()
-        );
-        let _ = writeln!(s);
-        let _ = writeln!(s, "{}", inc.detail);
-        let _ = writeln!(s);
-        let _ = writeln!(s, "### Timeline");
-        let _ = writeln!(s);
+        )?;
+        writeln!(w)?;
+        writeln!(w, "{}", inc.detail)?;
+        writeln!(w)?;
+        writeln!(w, "### Timeline")?;
+        writeln!(w)?;
         if let Some(tt) = inc.truth_t {
-            let _ = writeln!(s, "- {} — condition first held (ground truth)", fmt_t(tt));
+            writeln!(w, "- {} — condition first held (ground truth)", FmtT(tt))?;
         }
         match inc.detection_lag_s {
             Some(lag) => {
-                let _ = writeln!(
-                    s,
+                writeln!(
+                    w,
                     "- {} — alert fired (detection lag {:.1} s behind ground truth)",
-                    fmt_t(inc.opened_t),
+                    FmtT(inc.opened_t),
                     lag
-                );
+                )?;
             }
             None => {
-                let _ = writeln!(
-                    s,
+                writeln!(
+                    w,
                     "- {} — alert fired (ground-truth onset unknown)",
-                    fmt_t(inc.opened_t)
-                );
+                    FmtT(inc.opened_t)
+                )?;
             }
         }
         if let Some(et) = inc.escalated_t {
-            let _ = writeln!(s, "- {} — escalated", fmt_t(et));
+            writeln!(w, "- {} — escalated", FmtT(et))?;
         }
         if let Some(mt) = inc.mitigated_t {
-            let _ = writeln!(s, "- {} — mitigation observed (rule cleared)", fmt_t(mt));
+            writeln!(w, "- {} — mitigation observed (rule cleared)", FmtT(mt))?;
         }
         match inc.resolved_t {
             Some(rt) => {
-                let _ = writeln!(s, "- {} — resolved", fmt_t(rt));
+                writeln!(w, "- {} — resolved", FmtT(rt))?;
             }
             None => {
-                let _ = writeln!(s, "- unresolved at end of run ({})", fmt_t(t_end));
+                writeln!(w, "- unresolved at end of run ({})", FmtT(t_end))?;
             }
         }
-        let _ = writeln!(s);
-        let _ = writeln!(
-            s,
+        writeln!(w)?;
+        writeln!(
+            w,
             "{} correlated alert(s); peak value {:.3}.",
             inc.alerts, inc.peak_value
-        );
-        let _ = writeln!(s);
+        )?;
+        writeln!(w)?;
     }
-    s
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn render(
+        incidents: &[Incident],
+        alerts: &[Alert],
+        burn: &[BurnSummary],
+        t_end: f64,
+    ) -> String {
+        polca_obs::json::render(|w| write(w, incidents, alerts, burn, t_end))
+    }
 
     fn incident() -> Incident {
         Incident {
