@@ -22,9 +22,6 @@ else
     cargo test -q --offline --workspace
 fi
 
-echo "== cargo bench --no-run =="
-cargo bench --offline --no-run -q
-
 echo "== polca-cli ingest smoke test =="
 cargo run -q --offline --release -p polca-cli -- \
     ingest tests/golden/sample_trace.csv
@@ -100,6 +97,9 @@ for file in events.jsonl metrics.prom row{0..5}/events.jsonl dc{0..2}/incidents.
     cmp "$mon_seq/$file" "$mon_par/$file" \
         || { echo "monitored site $file differs across --fleet-threads"; exit 1; }
 done
+# The datacenter watch planes' markers land on the site trace.json.
+grep -q '"alert:' "$mon_seq/trace.json" \
+    || { echo "no watch alert marker in the site trace.json"; exit 1; }
 
 # --jobs and --fleet-threads are both accepted together: with --rows
 # and --datacenters this is the one-policy site-replay shape, which

@@ -1,12 +1,11 @@
-//! Shared harness for the figure/table regeneration binaries and the
-//! Criterion benches.
+//! Shared harness for the figure/table regeneration binaries.
 //!
 //! Every table and figure in the paper's evaluation has a matching
 //! binary in `src/bin/` (`fig04_training_timeseries`,
 //! `tab04_production_stats`, …) that prints the rows/series the paper
-//! reports, and a Criterion bench in `benches/` that measures the
-//! simulation kernel behind it. See `EXPERIMENTS.md` at the workspace
-//! root for the full index and the recorded paper-vs-measured values.
+//! reports. See `EXPERIMENTS.md` at the workspace root for the full
+//! index and the recorded paper-vs-measured values; the timing
+//! benchmark is `perfbench/` (`BENCHMARK.json`).
 //!
 //! Binaries honor these environment variables:
 //!

@@ -27,12 +27,10 @@ use std::path::Path;
 use std::time::Instant;
 
 use polca::{
-    CostModel, DisaggregationConfig, NoCapController, OversubscriptionStudy, PolcaController,
-    PolcaPolicy, PolicyKind, ReplayOutcome, SingleThresholdController, TraceEvaluation,
+    CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind, ReplayOutcome,
+    TraceEvaluation,
 };
-use polca_cluster::{
-    EngineKind, PowerController, Request, RowConfig, SiteConfig, SiteReport, SiteSim,
-};
+use polca_cluster::{EngineKind, Request, RowConfig, SiteConfig, SiteReport, SiteSim};
 use polca_gpu::{Gpu, GpuSpec};
 use polca_ingest::{
     requests_to_csv, IngestedTrace, ReplayOptions, TraceCalibration, TraceReplay, TraceStats,
@@ -549,29 +547,6 @@ fn write_watch_artifacts(
     Ok(())
 }
 
-/// The per-row policy controller for the fleet paths, mirroring the
-/// Figure 17 panel construction.
-fn fleet_controller(
-    kind: PolicyKind,
-    policy: &PolcaPolicy,
-    obs: &Recorder,
-) -> Box<dyn PowerController> {
-    match kind {
-        PolicyKind::Polca => {
-            Box::new(PolcaController::new(policy.clone()).with_recorder(obs.clone()))
-        }
-        PolicyKind::OneThreshLowPri => Box::new(
-            SingleThresholdController::low_priority_only(policy.clone()).with_recorder(obs.clone()),
-        ),
-        PolicyKind::OneThreshAll => Box::new(
-            SingleThresholdController::all_workloads(policy.clone()).with_recorder(obs.clone()),
-        ),
-        PolicyKind::NoCap => {
-            Box::new(NoCapController::new(policy.clone()).with_recorder(obs.clone()))
-        }
-    }
-}
-
 /// Builds the site shape, budgets, and threading from the site flags
 /// (the caller fills `base`). `--fleet-threads 0` means "all cores".
 fn site_config(inv: &Invocation, rows: usize, datacenters: usize) -> SiteConfig {
@@ -961,7 +936,7 @@ fn run_site(
         "monitored"
     };
     let policy = PolcaPolicy::default();
-    let controller = |_, rec: &Recorder| fleet_controller(kind, &policy, rec);
+    let controller = |_, rec: &Recorder| kind.controller(&policy, rec);
     let report = SiteSim::new(row.clone(), site, controller, requests, horizon).run();
     println!(
         "{} {}, budgets {budgets}:",
@@ -978,30 +953,43 @@ fn run_site(
         }
         print_energy_summary(&obs.recorder, report.completed(), "  ");
     }
-    obs.write(Some(&report), &[])?;
     // Each datacenter's buffered, canonically-merged OOB power stream
     // replays through its own watch plane, in global row order within
     // the datacenter, so the incident set is byte-identical whatever
     // `--fleet-threads` was. Site watch planes ride the power telemetry
     // only: row event logs are per-recorder and would interleave across
     // datacenters.
-    let Some(buffer) = watch_buffer else {
-        return Ok(());
-    };
-    let dc_watts = rows as f64 * row.provisioned_watts();
-    for d in 0..report.datacenters {
-        let columns: Vec<_> = report
-            .rows_in_datacenter(d)
-            .map(|row| buffer.take_row(row))
-            .collect();
-        let plane = build_watch_plane(inv, dc_watts, obs.energy.as_ref())?.expect("--watch given");
-        let sub = plane.subscriber();
-        for tick in &merge_tick_columns(&columns) {
-            sub.on_tick(tick.t, tick.truth_watts, tick.observed_watts);
+    let mut watched = Vec::new();
+    if let Some(buffer) = watch_buffer {
+        let dc_watts = rows as f64 * row.provisioned_watts();
+        for d in 0..report.datacenters {
+            let columns: Vec<_> = report
+                .rows_in_datacenter(d)
+                .map(|row| buffer.take_row(row))
+                .collect();
+            let plane =
+                build_watch_plane(inv, dc_watts, obs.energy.as_ref())?.expect("--watch given");
+            let sub = plane.subscriber();
+            for tick in &merge_tick_columns(&columns) {
+                sub.on_tick(tick.t, tick.truth_watts, tick.observed_watts);
+            }
+            watched.push(plane.finalize(horizon));
         }
-        let artifacts = plane.finalize(horizon);
+    }
+    // Every datacenter's markers go onto the site trace in time order;
+    // incident ids restart per datacenter, so each detail names its own.
+    let mut annotations: Vec<Annotation> = Vec::new();
+    for (d, artifacts) in watched.iter().enumerate() {
+        annotations.extend(artifacts.annotations().into_iter().map(|a| Annotation {
+            detail: format!("dc{d}: {}", a.detail),
+            ..a
+        }));
+    }
+    annotations.sort_by(|a, b| a.t.total_cmp(&b.t));
+    obs.write(Some(&report), &annotations)?;
+    for (d, artifacts) in watched.iter().enumerate() {
         println!("  datacenter {d}:");
-        print_watch_summary(&artifacts, "    ");
+        print_watch_summary(artifacts, "    ");
         if let Some(dir) = &obs.out {
             let files = artifacts
                 .write_dir(&Path::new(dir).join(format!("dc{d}")))

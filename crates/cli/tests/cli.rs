@@ -1,6 +1,9 @@
 //! End-to-end checks of the `polca-cli` binary: exit code and stderr on
-//! bad input, and `--power-scale` on the site replay shape.
+//! bad input, `--power-scale` on the site replay shape, and the watch
+//! markers on a site's `trace.json`.
 
+use std::fs;
+use std::path::Path;
 use std::process::{Command, Output};
 
 const SAMPLE: &str = concat!(
@@ -55,4 +58,43 @@ fn power_scale_reaches_the_site_replay() {
         out.stdout
     };
     assert_ne!(run("1"), run("1.3"));
+}
+
+#[test]
+fn site_watch_markers_reach_the_site_trace() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("site_watch_markers");
+    let _ = fs::remove_dir_all(&dir);
+    let out = cli(&[
+        "evaluate",
+        "--trace-csv",
+        SAMPLE,
+        "--rows",
+        "2",
+        "--datacenters",
+        "3",
+        "--servers",
+        "10",
+        "--watch",
+        "--obs-out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let read = |file: &str| fs::read_to_string(dir.join(file)).unwrap();
+    let incidents: usize = (0..3)
+        .map(|d| read(&format!("dc{d}/incidents.jsonl")).lines().count())
+        .sum();
+    assert!(incidents > 0);
+    let trace = read("trace.json");
+    assert!(trace.contains(r#""name":"alert:"#));
+    // One `open` marker per incident of every datacenter, each naming
+    // its datacenter: incident ids restart at 0 in each one.
+    let opened: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains(r#""name":"incident#"#) && l.contains(r#":open""#))
+        .collect();
+    assert_eq!(opened.len(), incidents);
+    for d in 0..3 {
+        let tag = format!(r#""detail":"dc{d}: "#);
+        assert!(opened.iter().any(|l| l.contains(&tag)), "no dc{d} marker");
+    }
 }

@@ -208,8 +208,7 @@ pub struct SimReport {
     /// OOB commands issued on the control plane.
     pub commands_issued: u64,
     /// Discrete events processed by the row engine (arrivals, phase
-    /// ends, telemetry ticks, control deliveries) — the numerator of
-    /// the `sim_throughput` events/sec figure.
+    /// ends, telemetry ticks, control deliveries).
     pub events_processed: u64,
     /// Duration simulated.
     pub duration: SimTime,

@@ -15,7 +15,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use polca_cluster::{ClusterSim, EngineKind, Priority, Request, RowConfig, SimConfig};
+use polca_cluster::{
+    ClusterSim, EngineKind, PowerController, Priority, Request, RowConfig, SimConfig,
+};
 use polca_obs::{Event, Phase, ProfCounter, Recorder};
 use polca_sim::SimTime;
 use polca_stats::{Quantiles, TimeSeries};
@@ -59,6 +61,24 @@ impl PolicyKind {
             PolicyKind::OneThreshLowPri => "1-Thresh-Low-Pri",
             PolicyKind::OneThreshAll => "1-Thresh-All",
             PolicyKind::NoCap => "No-cap",
+        }
+    }
+
+    /// The controller that runs this policy with `policy`'s thresholds,
+    /// recording into `obs`. Every Figure 17 driver (sweep cells, trace
+    /// replays, site rows) builds its controllers here.
+    pub fn controller(self, policy: &PolcaPolicy, obs: &Recorder) -> Box<dyn PowerController> {
+        let policy = policy.clone();
+        let obs = obs.clone();
+        match self {
+            PolicyKind::Polca => Box::new(PolcaController::new(policy).with_recorder(obs)),
+            PolicyKind::OneThreshLowPri => {
+                Box::new(SingleThresholdController::low_priority_only(policy).with_recorder(obs))
+            }
+            PolicyKind::OneThreshAll => {
+                Box::new(SingleThresholdController::all_workloads(policy).with_recorder(obs))
+            }
+            PolicyKind::NoCap => Box::new(NoCapController::new(policy).with_recorder(obs)),
         }
     }
 }
@@ -412,34 +432,8 @@ impl OversubscriptionStudy {
         let trace = self.cached_arrivals(added_fraction, obs);
         let arrivals = trace.iter().cloned();
         let until = SimTime::from_days(self.days);
-        let report = match kind {
-            PolicyKind::Polca => ClusterSim::new(
-                row,
-                config,
-                PolcaController::new(self.policy.clone()).with_recorder(obs.clone()),
-            )
-            .run(arrivals, until),
-            PolicyKind::OneThreshLowPri => ClusterSim::new(
-                row,
-                config,
-                SingleThresholdController::low_priority_only(self.policy.clone())
-                    .with_recorder(obs.clone()),
-            )
-            .run(arrivals, until),
-            PolicyKind::OneThreshAll => ClusterSim::new(
-                row,
-                config,
-                SingleThresholdController::all_workloads(self.policy.clone())
-                    .with_recorder(obs.clone()),
-            )
-            .run(arrivals, until),
-            PolicyKind::NoCap => ClusterSim::new(
-                row,
-                config,
-                NoCapController::new(self.policy.clone()).with_recorder(obs.clone()),
-            )
-            .run(arrivals, until),
-        };
+        let controller = kind.controller(&self.policy, obs);
+        let report = ClusterSim::new(row, config, controller).run(arrivals, until);
 
         let low_raw = Self::quantiles_or_unit(&report.low_latencies_s);
         let high_raw = Self::quantiles_or_unit(&report.high_latencies_s);
